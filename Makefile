@@ -23,7 +23,7 @@ test-all:
 	$(PYTHON) -m pytest -q -m "slow or not slow"
 
 ## schedlint: determinism/contract static analysis over src/repro/
-## at the dataflow tier (interprocedural taint, fast-path parity,
+## at the dataflow tier (interprocedural taint, tick-hook parity,
 ## cross-process atomicity), failing on any finding not recorded in
 ## lint-baseline.json; writes lint-report.sarif for CI upload
 ## (exit 0 = clean, 1 = findings, 2 = usage/internal error; see
@@ -105,35 +105,28 @@ verify-fast: lint test
 
 ## simulator-performance benchmarks in smoke mode + regression gate:
 ## fails when any profile's events/sec is >1.5x below the recorded
-## baseline (benchmarks/BENCH_baseline.json).  REPRO_FAST=1: the
-## benchmarks measure the specialized run loop (the production
-## configuration for uninstrumented runs; digest-identical to the
-## instrumented loop — see docs/performance.md)
+## baseline (benchmarks/BENCH_baseline.json)
 bench:
-	REPRO_BENCH_SMOKE=1 REPRO_FAST=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/test_simulator_performance.py -q
 	$(PYTHON) benchmarks/check_bench.py
 
 ## re-record the smoke baseline after an intentional perf change
 bench-baseline:
-	REPRO_BENCH_SMOKE=1 REPRO_FAST=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/test_simulator_performance.py -q
 	cp benchmarks/BENCH_simulator.json benchmarks/BENCH_baseline.json
 	@echo "baseline re-recorded"
 
 ## full-size benchmark profiles (slower, prints throughput)
 bench-full:
-	REPRO_FAST=1 $(PYTHON) -m pytest \
+	$(PYTHON) -m pytest \
 		benchmarks/test_simulator_performance.py -q
 
-## fast heap-vs-wheel gate: fixed scenarios under both event queues,
-## asserts digest equality + a minimum events/sec floor (CI stage).
-## Both legs run — the instrumented loop and the specialized fast
-## loop (REPRO_FAST=1) — so a floor violation or digest drift in
-## either run path fails the gate.
+## fast throughput gate: fixed scenarios, each above a per-profile
+## events/sec floor (CI stage)
 bench-smoke:
-	REPRO_FAST=0 $(PYTHON) benchmarks/bench_smoke.py
-	REPRO_FAST=1 $(PYTHON) benchmarks/bench_smoke.py
+	$(PYTHON) benchmarks/bench_smoke.py
 
 ## per-subsystem event-profile breakdown over a representative
 ## campaign slice (fig6: both schedulers' tick + balance paths),

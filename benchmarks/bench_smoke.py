@@ -1,35 +1,24 @@
-"""Bench-smoke gate: heap/wheel digest equality + a throughput floor.
+"""Bench-smoke gate: a per-profile events/sec floor.
 
-A fast (<~30 s) CI stage that runs a small fixed scenario set under
-**both** event-queue implementations and asserts:
+A fast (<~15 s) CI stage that runs a small fixed scenario set once
+and asserts each profile's throughput stays above its floor.  Each
+floor is deliberately ~20x below that profile's observed throughput,
+so hardware variance never trips it but an accidental algorithmic
+regression (an O(n) scan in the event queue, a quadratic balance
+pass) fails fast without waiting for the full ``make bench`` +
+baseline comparison.  Per-profile floors matter because the profiles
+sit at very different absolute rates: one shared floor low enough for
+the slowest profile would leave the fastest with a ~100x blind spot.
 
-1. **Digest equality** — every scenario's canonical schedule digest is
-   identical under ``REPRO_EVENTQ=heap`` and ``=wheel``.  This is the
-   always-on differential guard for the timing wheel: the seeded fuzz
-   suite (``tests/test_eventq_differential.py``) explores breadth,
-   this gate pins the paper-shaped scenarios on every push.
-2. **A per-profile events/sec floor** — each floor is deliberately
-   ~20x below that profile's observed throughput, so hardware
-   variance never trips it but an accidental algorithmic regression
-   (an O(n) scan in the event queue, a quadratic balance pass) fails
-   fast without waiting for the full ``make bench`` + baseline
-   comparison.  Per-profile floors matter because the profiles sit at
-   very different absolute rates: one shared floor low enough for the
-   slowest profile would leave the fastest with a ~100x blind spot.
-
-Exit status: 0 = all green, 1 = digest mismatch or floor violation.
-Run via ``make bench-smoke`` (part of ``make verify`` and CI), which
-executes the gate **twice**: once with ``REPRO_FAST=0`` (the
-instrumented run loop) and once with ``REPRO_FAST=1`` (the
-specialized fast loop), so a regression or digest drift confined to
-either path still fails.  CI uploads ``BENCH_trajectory.json`` and
-the ``make bench-profile`` per-subsystem breakdown so the cross-PR
-perf story rides along with every run.
+Exit status: 0 = all green, 1 = floor violation.  Run via ``make
+bench-smoke`` (part of ``make verify`` and CI).  CI uploads
+``BENCH_trajectory.json`` and the ``make bench-profile``
+per-subsystem breakdown so the cross-PR perf story rides along with
+every run.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -42,18 +31,15 @@ FLOORS = {
     "fig6/ule": 3_000,
 }
 
-QUEUE_KINDS = ("heap", "wheel")
 
-
-def _tick_cell(kind: str):
+def _tick_cell():
     """16 spinners on 8 cores under the 1 ms CFS tick, 500 ms."""
     from repro.core import Engine, ThreadSpec, run_forever
     from repro.core.clock import msec
     from repro.core.topology import smp
     from repro.sched import scheduler_factory
 
-    engine = Engine(smp(8), scheduler_factory("cfs"), seed=1,
-                    event_queue=kind)
+    engine = Engine(smp(8), scheduler_factory("cfs"), seed=1)
     for i in range(16):
         engine.spawn(ThreadSpec(f"s{i}",
                                 lambda ctx: iter([run_forever()]),
@@ -62,63 +48,44 @@ def _tick_cell(kind: str):
     return engine
 
 
-def _fig6_cell(sched: str, kind: str):
+def _fig6_cell(sched: str):
     """The paper's pin/release load-balancing scenario, truncated."""
     from repro.core.clock import sec
     from repro.experiments.fig6_load_balancing import run_release
 
-    os.environ["REPRO_EVENTQ"] = kind
-    try:
-        engine, _, _ = run_release(sched, 32, seed=1,
-                                   timeout_ns=sec(1))
-    finally:
-        os.environ.pop("REPRO_EVENTQ", None)
+    engine, _, _ = run_release(sched, 32, seed=1, timeout_ns=sec(1))
     return engine
 
 
 SCENARIOS = (
-    ("tick_8x16", lambda kind: _tick_cell(kind)),
-    ("fig6/cfs", lambda kind: _fig6_cell("cfs", kind)),
-    ("fig6/ule", lambda kind: _fig6_cell("ule", kind)),
+    ("tick_8x16", _tick_cell),
+    ("fig6/cfs", lambda: _fig6_cell("cfs")),
+    ("fig6/ule", lambda: _fig6_cell("ule")),
 )
 
 
 def main() -> int:
-    from repro.core.engine import _fast_from_env
     from repro.tracing.digest import schedule_digest
 
-    print(f"bench-smoke: run loop = "
-          f"{'fast' if _fast_from_env() else 'instrumented'} "
-          f"(REPRO_FAST={os.environ.get('REPRO_FAST', '')!r})")
     failures = []
     for name, build in SCENARIOS:
-        digests = {}
-        best_eps = 0.0
-        for kind in QUEUE_KINDS:
-            t0 = time.perf_counter()
-            engine = build(kind)
-            wall = time.perf_counter() - t0
-            digests[kind] = schedule_digest(engine)
-            eps = engine.events_processed / wall if wall else 0.0
-            best_eps = max(best_eps, eps)
-            print(f"  {name:<12} {kind:<6} digest={digests[kind]} "
-                  f"{eps:>10,.0f} ev/s")
-        if digests["heap"] != digests["wheel"]:
-            failures.append(f"{name}: digest mismatch "
-                            f"heap={digests['heap']} "
-                            f"wheel={digests['wheel']}")
-        # best-of-both: the floor gates the algorithm, not the noise
+        t0 = time.perf_counter()
+        engine = build()
+        wall = time.perf_counter() - t0
+        eps = engine.events_processed / wall if wall else 0.0
+        print(f"  {name:<12} digest={schedule_digest(engine)} "
+              f"{eps:>10,.0f} ev/s")
         floor = FLOORS[name]
-        if best_eps < floor:
-            failures.append(f"{name}: {best_eps:,.0f} ev/s below the "
+        if eps < floor:
+            failures.append(f"{name}: {eps:,.0f} ev/s below the "
                             f"{floor:,} floor")
     if failures:
         print("\nbench-smoke: FAILED", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"bench-smoke: {len(SCENARIOS)} scenarios digest-identical "
-          f"under heap and wheel, all above their per-profile floors")
+    print(f"bench-smoke: {len(SCENARIOS)} scenarios above their "
+          f"per-profile floors")
     return 0
 
 

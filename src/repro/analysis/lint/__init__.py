@@ -12,7 +12,7 @@ readable report; ``--sarif FILE`` writes a SARIF 2.1.0 log.  Suppress
 a finding in place with ``# schedlint: ignore[rule] -- reason``.
 
 ``--dataflow`` enables the flow-aware tier (interprocedural
-determinism taint, fast-path parity, cross-process atomicity) in
+determinism taint, tick-hook parity, cross-process atomicity) in
 place of the three syntactic rules it subsumes.  ``--baseline FILE``
 accepts the findings recorded in the baseline and fails only on new
 ones; ``--update-baseline`` rewrites the baseline to the current

@@ -1,22 +1,10 @@
-"""Fast-path parity: structural differ for duplicated hot paths.
+"""Tick-hook parity: structural differ for the fused tick closures.
 
-PR 6 introduced two places where the same behavior is deliberately
-written twice for speed, with a comment promising the copies stay
-bit-identical:
-
-* ``Engine._run_fast`` vs ``Engine._run_instrumented`` — the fast run
-  loop is the instrumented one minus observer branches;
-* the fused per-core tick closures (``CfsScheduler.make_tick_hook``,
-  ``UleScheduler.make_tick_hook``) — manual inlines of
-  ``Engine._tick`` → ``Engine._update_curr``.
-
-This module turns those comments into lint rules:
-
-``fastpath-parity``
-    Normalize both run loops (alias substitution, ``self`` →
-    ``$engine``, observer-branch elision, dead-store elimination) and
-    require the remaining behavior-affecting statement sequences to be
-    structurally identical; report the first divergence.
+The fused per-core tick closures (``CfsScheduler.make_tick_hook``,
+``UleScheduler.make_tick_hook``, ``PolicyScheduler.make_tick_hook``)
+are manual inlines of ``Engine._tick`` → ``Engine._update_curr``,
+written twice for speed with a comment promising the copies stay
+bit-identical.  This module turns that comment into a lint rule:
 
 ``tickhook-parity``
     Derive *anchor* statements from the normalized generic chain (the
@@ -28,7 +16,7 @@ This module turns those comments into lint rules:
     guard *conditions* are not compared (``needs_tick`` is specialized
     per scheduler by design).
 
-Normalization rules (shared):
+Normalization rules:
 
 1. drop the docstring;
 2. substitute single-assignment locals whose RHS is a pure
@@ -37,10 +25,7 @@ Normalization rules (shared):
 3. canonical renames: ``self`` → ``$engine`` in engine methods;
    ``self.engine`` → ``$engine`` then ``self`` → ``$sched`` in
    scheduler hooks;
-4. elide statements mentioning observers (``$engine.profiler``,
-   ``$engine.sanitizer``, ``timestamp``); collapse ``if`` statements
-   whose test mentions an observer when the stripped branches agree;
-5. remove dead stores of pure chains (the alias assignments).
+4. remove dead stores of pure chains (the alias assignments).
 
 Fused hooks only exist when ``Engine.faults is None`` (see
 ``Engine._tick_callback``), so the fault-adjusted repost time in
@@ -51,17 +36,11 @@ from __future__ import annotations
 
 import ast
 import copy
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from ..findings import Finding
 
-RULE_FASTPATH = "fastpath-parity"
 RULE_TICKHOOK = "tickhook-parity"
-
-#: observer roots elided from the instrumented loop (post-rename
-#: chains, plus bare names)
-OBSERVER_CHAINS = frozenset({"$engine.profiler", "$engine.sanitizer"})
-OBSERVER_NAMES = frozenset({"timestamp"})
 
 
 def _chain_str(node: ast.AST) -> Optional[str]:
@@ -179,63 +158,8 @@ def _collect_aliases(scope_nodes: List[ast.AST]) -> Dict[str, ast.expr]:
     return aliases
 
 
-def _mentions_observer(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in OBSERVER_NAMES:
-            return True
-        if isinstance(sub, ast.Attribute):
-            chain = _chain_str(sub)
-            if chain is not None and chain in OBSERVER_CHAINS:
-                return True
-    return False
-
-
 def _dumps(stmts: List[ast.stmt]) -> List[str]:
     return [ast.dump(s) for s in stmts]
-
-
-def _elide_observers(stmts: List[ast.stmt]) -> List[ast.stmt]:
-    out: List[ast.stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, ast.If):
-            body = _elide_observers(stmt.body)
-            orelse = _elide_observers(stmt.orelse)
-            if _mentions_observer(stmt.test):
-                if _dumps(body) == _dumps(orelse):
-                    out.extend(body)
-                elif not body:
-                    out.extend(orelse)
-                elif not orelse:
-                    out.extend(body)
-                else:
-                    # stripped branches still differ: keep, let the
-                    # differ report it
-                    stmt.body, stmt.orelse = body, orelse
-                    out.append(stmt)
-            else:
-                stmt.body = body or [ast.Pass()]
-                stmt.orelse = orelse
-                out.append(stmt)
-            continue
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor, ast.Try,
-                             ast.With, ast.AsyncWith)):
-            # recurse first: a loop *containing* observer statements
-            # is not itself an observer statement
-            for field in ("body", "orelse", "finalbody"):
-                if hasattr(stmt, field) and getattr(stmt, field):
-                    setattr(stmt, field,
-                            _elide_observers(getattr(stmt, field))
-                            or [ast.Pass()])
-            if isinstance(stmt, ast.Try):
-                for handler in stmt.handlers:
-                    handler.body = _elide_observers(handler.body) \
-                        or [ast.Pass()]
-            out.append(stmt)
-            continue
-        if _mentions_observer(stmt):
-            continue
-        out.append(stmt)
-    return out
 
 
 def _dead_store_elim(stmts: List[ast.stmt]) -> List[ast.stmt]:
@@ -287,12 +211,11 @@ def _dead_store_elim(stmts: List[ast.stmt]) -> List[ast.stmt]:
 class NormalizeSpec(NamedTuple):
     chain_renames: Dict[str, str]
     name_renames: Dict[str, str]
-    elide: bool  # run the observer-elision pass
 
 
-ENGINE_SPEC = NormalizeSpec({}, {"self": "$engine"}, elide=True)
+ENGINE_SPEC = NormalizeSpec({}, {"self": "$engine"})
 SCHED_SPEC = NormalizeSpec({"self.engine": "$engine", "engine": "$engine"},
-                           {"self": "$sched"}, elide=False)
+                           {"self": "$sched"})
 
 
 def _strip_docstring(body: List[ast.stmt]) -> List[ast.stmt]:
@@ -323,8 +246,6 @@ def normalize_body(body: List[ast.stmt], spec: NormalizeSpec,
     # drop imports (the hooks re-import RUN_FOREVER locally)
     stmts = [s for s in stmts
              if not isinstance(s, (ast.Import, ast.ImportFrom))]
-    if spec.elide:
-        stmts = _elide_observers(stmts)
     stmts = _dead_store_elim(stmts)
     return stmts
 
@@ -341,9 +262,6 @@ def _find_method(tree: ast.Module, name: str):
     return None
 
 
-# -- the run-loop differ ------------------------------------------------
-
-
 def _unparse_short(node: Optional[ast.AST], limit: int = 70) -> str:
     if node is None:
         return "<nothing>"
@@ -353,74 +271,6 @@ def _unparse_short(node: Optional[ast.AST], limit: int = 70) -> str:
         text = ast.dump(node)
     text = " ".join(text.split())
     return text if len(text) <= limit else text[:limit - 1] + "…"
-
-
-def _first_divergence(a: List[ast.stmt], b: List[ast.stmt]
-                      ) -> Optional[Tuple[Optional[ast.stmt],
-                                          Optional[ast.stmt]]]:
-    """First structurally differing statement pair (a=fast, b=instr)."""
-    for sa, sb in zip(a, b):
-        if ast.dump(sa) == ast.dump(sb):
-            continue
-        # recurse into matching compound headers to localize
-        if type(sa) is type(sb):
-            if isinstance(sa, (ast.While, ast.If)) \
-                    and ast.dump(sa.test) == ast.dump(sb.test):
-                inner = _first_divergence(sa.body, sb.body)
-                if inner is None:
-                    inner = _first_divergence(sa.orelse, sb.orelse)
-                if inner is not None:
-                    return inner
-            if isinstance(sa, (ast.For, ast.AsyncFor)) \
-                    and ast.dump(sa.iter) == ast.dump(sb.iter) \
-                    and ast.dump(sa.target) == ast.dump(sb.target):
-                inner = _first_divergence(sa.body, sb.body)
-                if inner is not None:
-                    return inner
-            if isinstance(sa, ast.Try):
-                for field in ("body", "orelse", "finalbody"):
-                    inner = _first_divergence(getattr(sa, field),
-                                              getattr(sb, field))
-                    if inner is not None:
-                        return inner
-        return (sa, sb)
-    if len(a) > len(b):
-        return (a[len(b)], None)
-    if len(b) > len(a):
-        return (None, b[len(a)])
-    return None
-
-
-def check_fastpath(tree: ast.Module, path: str) -> List[Finding]:
-    """Diff ``_run_fast`` against ``_run_instrumented`` in one module."""
-    fast = _find_method(tree, "_run_fast")
-    instr = _find_method(tree, "_run_instrumented")
-    if fast is None and instr is None:
-        return []
-    if fast is None or instr is None:
-        present = fast or instr
-        return [Finding(
-            path=path, line=present.lineno, col=present.col_offset,
-            rule=RULE_FASTPATH,
-            message=("only one of _run_fast/_run_instrumented is "
-                     "defined — the loops are a mirrored pair"))]
-    norm_fast = normalize_body(fast.body, ENGINE_SPEC)
-    norm_instr = normalize_body(instr.body, ENGINE_SPEC)
-    divergence = _first_divergence(norm_fast, norm_instr)
-    if divergence is None:
-        return []
-    side_fast, side_instr = divergence
-    anchor = side_fast or side_instr
-    return [Finding(
-        path=path,
-        line=getattr(anchor, "lineno", fast.lineno),
-        col=getattr(anchor, "col_offset", 0),
-        rule=RULE_FASTPATH,
-        message=(f"_run_fast and _run_instrumented diverge after "
-                 f"normalization: fast has "
-                 f"`{_unparse_short(side_fast)}`, instrumented has "
-                 f"`{_unparse_short(side_instr)}` — mirror the edit "
-                 f"in both loops"))]
 
 
 # -- tick-hook anchors --------------------------------------------------
@@ -608,36 +458,31 @@ def check_tick_hook(make_hook, contract: TickContract,
 
 
 def check_parity(files: Dict[str, str]) -> List[Finding]:
-    """Run both parity families over a set of {path: source} files.
+    """Run the tick-hook parity check over a set of {path: source} files.
 
-    The engine module is discovered as the file defining
-    ``_run_instrumented``; fused hooks as any ``make_tick_hook``
-    containing a nested closure.  Files that fail to parse are skipped
-    (the syntactic pass already reports them).
+    The engine module is discovered as the first file defining both
+    ``_update_curr`` and ``_tick``; fused hooks as any
+    ``make_tick_hook`` containing a nested closure.  Files that fail to
+    parse are skipped (the syntactic pass already reports them).
     """
-    findings: List[Finding] = []
     trees: Dict[str, ast.Module] = {}
     for path, source in files.items():
         try:
             trees[path] = ast.parse(source)
         except SyntaxError:
             continue
-    engine_path = None
-    for path, tree in sorted(trees.items()):
-        if _find_method(tree, "_run_instrumented") is not None \
-                or _find_method(tree, "_run_fast") is not None:
-            engine_path = path
-            break
     contract: Optional[TickContract] = None
-    if engine_path is not None:
-        findings.extend(check_fastpath(trees[engine_path], engine_path))
-        contract = derive_tick_contract(trees[engine_path])
+    for path, tree in sorted(trees.items()):
+        contract = derive_tick_contract(tree)
+        if contract is not None:
+            break
+    if contract is None:
+        return []
+    findings: List[Finding] = []
     for path, tree in sorted(trees.items()):
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) \
                     and node.name == "make_tick_hook" \
                     and _closure_of(node) is not None:
-                if contract is not None:
-                    findings.extend(
-                        check_tick_hook(node, contract, path))
+                findings.extend(check_tick_hook(node, contract, path))
     return findings

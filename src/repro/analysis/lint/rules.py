@@ -108,9 +108,6 @@ DATAFLOW_RULES: Dict[str, str] = {
     "taint-set-order":
         "set-iteration or directory-listing order flows into a "
         "schedule-affecting sink (sorted() sanitizes it)",
-    "fastpath-parity":
-        "_run_fast and _run_instrumented diverge after normalization; "
-        "the loops must stay behaviorally identical",
     "tickhook-parity":
         "a fused make_tick_hook closure is missing an accounting/"
         "parking statement from the generic Engine tick chain",
@@ -135,7 +132,7 @@ _TAINT_RULES = ("taint-wall-clock", "taint-random", "taint-env",
                 "taint-id-order", "taint-set-order")
 _ATOMICITY_RULES = ("nonatomic-write", "cache-rmw")
 #: dataflow rules computed across the whole file set by lint_paths
-_PARITY_RULES = ("fastpath-parity", "tickhook-parity")
+_PARITY_RULES = ("tickhook-parity",)
 
 
 def effective_rules(rules: Optional[Sequence[str]],
@@ -598,10 +595,11 @@ def lint_paths(paths: Iterable[str],
                ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``.
 
-    In the dataflow tier the parity family runs here (it needs the
-    whole file set: the engine's run loops define the contract the
-    scheduler hooks are checked against); its findings are handed to
-    ``lint_source`` per file so suppressions apply normally.
+    In the dataflow tier the parity rule runs here (it needs the
+    whole file set: the engine's generic tick chain defines the
+    contract the scheduler hooks are checked against); its findings
+    are handed to ``lint_source`` per file so suppressions apply
+    normally.
     """
     files: Dict[str, str] = {}
     for filename in iter_python_files(paths):

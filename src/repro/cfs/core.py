@@ -17,7 +17,6 @@ Faithful to §2.1 of the paper:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -32,7 +31,7 @@ from .entity import SchedEntity
 from .params import CfsTunables
 from .pelt import (HALF_LIFE_NS, _DECAY_CACHE, _DECAY_CACHE_MAX, _LN2,
                    _SATURATED)
-from .peltbank import fold_loads, fold_loads_python, prewarm_decay
+from .peltbank import fold_loads, fold_loads_python
 from .runqueue import CfsRq
 from .weights import calc_delta_fair, nice_to_weight
 
@@ -79,13 +78,7 @@ class CfsScheduler(SchedClass):
     def __init__(self, engine: "Engine",
                  tunables: Optional[CfsTunables] = None, **overrides):
         super().__init__(engine)
-        tun = tunables or CfsTunables(**overrides)
-        if tun.flat_timeline is None:
-            # Unset: follow the engine's fast mode (a copy, so a caller
-            # sharing one tunables object across engines is unaffected).
-            tun = dataclasses.replace(
-                tun, flat_timeline=bool(getattr(engine, "fast", False)))
-        self.tunables = tun
+        self.tunables = tunables or CfsTunables(**overrides)
         ncpus = len(self.machine)
         self.root_group = TaskGroup("root", ncpus, self.tunables)
         self._app_groups: dict[str, TaskGroup] = {}
@@ -394,7 +387,7 @@ class CfsScheduler(SchedClass):
         """
         from ..core.engine import RUN_FOREVER
         engine = self.engine
-        events = engine._sink
+        events = engine.events
         tick_ns = self.tick_ns
         cpurq = self.cpurq(core)
         min_gran = self.tunables.min_granularity_ns
@@ -459,27 +452,6 @@ class CfsScheduler(SchedClass):
                 engine._arm_completion(core)
 
         return tick
-
-    def epoch_prefold(self, cores: list, now: int) -> None:
-        """Epoch-tick prework (see ``SchedClass.epoch_prefold``): the
-        fused tick of every core in the group is about to decay its
-        running task's PELT average to the shared instant ``now``, so
-        each distinct decay factor is evaluated once here, through the
-        shared ``math.exp`` cache — bit-identical to the per-core
-        fills it fronts (:func:`~repro.cfs.peltbank.prewarm_decay`)."""
-        deltas = []
-        state_of = self.state_of
-        for core in cores:
-            curr = core.current
-            if curr is None:
-                continue
-            avg = state_of(curr).se.avg
-            delta = now - avg.last_update
-            if delta > 0 and not (avg.util_avg >= _SATURATED
-                                  and delta < HALF_LIFE_NS):
-                deltas.append(delta)
-        if deltas:
-            prewarm_decay(deltas)
 
     def check_preempt_wakeup(self, core: "Core",
                              thread: "SimThread") -> None:

@@ -144,31 +144,6 @@ def fold_loads_numpy(avgs, weights, now):
     return load, saturated, min_lu
 
 
-def prewarm_decay(deltas) -> None:
-    """Batch-fill the shared decay cache for a set of integer deltas.
-
-    The epoch-batched tick kernel (``Engine._pop_next`` →
-    ``SchedClass.epoch_prefold``) calls this once per multi-core tick
-    instant with the deltas the epoch group is about to decay by, so
-    each distinct transcendental is evaluated once instead of once per
-    (core, entity).  Pure cache warm and therefore digest-neutral:
-    factors come from the same ``math.exp`` expression as
-    :func:`repro.cfs.pelt.decay_factor` (never ``np.exp``), so later
-    lookups are bit-identical whether or not the prewarm ran.
-    """
-    exp = math.exp
-    decay_cache = _DECAY_CACHE
-    half_life = HALF_LIFE_NS
-    for delta in deltas:
-        if delta <= 0 or delta in decay_cache:
-            continue
-        if len(decay_cache) >= _DECAY_CACHE_MAX:
-            decay_cache.clear()
-        # continuous-form PELT decay: delta/half_life is a
-        # dimensionless ratio
-        decay_cache[delta] = exp(-_LN2 * delta / half_life)
-
-
 #: the active fold kernel, selected once at import (the probe is an
 #: environment decision, not a per-call branch)
 fold_loads = fold_loads_numpy if numpy_enabled() else fold_loads_python

@@ -4,11 +4,9 @@ Keeps ``(vruntime, tie)`` keys in a sorted list with a parallel value
 list: insert/remove locate the slot by binary search and shift with
 ``list.insert`` / ``del`` (a C memmove).  At the per-runqueue depths
 the benchmark profiles produce (tens of entities), the memmove beats
-the pointer-chasing red-black fixups by a wide margin; the O(n) shift
-only overtakes the tree's O(log n) at queue depths in the hundreds,
-which is why the backend is selected per run (``CfsTunables
-.flat_timeline`` / the engine's fast mode) instead of replacing the
-tree — see docs/performance.md.
+the pointer-chasing red-black fixups by a wide margin.  It is the
+default backend (``CfsTunables.flat_timeline``); the tree stays as
+the reference it is diffed against — see docs/performance.md.
 
 Both backends maintain ``leftmost_value`` as a plain attribute (the
 hot read on the tick and min_vruntime paths) and expose the same

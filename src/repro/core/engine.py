@@ -37,15 +37,14 @@ from typing import Callable, Iterable, Optional
 
 from . import actions as act
 from .errors import DeadlockError, SimulationError, ThreadStateError
-from .events import EventLane, EventQueue
+from .events import EventQueue
 from .machine import Core, Machine
 from .metrics import MetricRegistry
-from .profile import EventProfiler, global_profiler, profile_from_env, \
-    timestamp
+from .profile import QUEUE_BUCKET, EventProfiler, global_profiler, \
+    profile_from_env, timestamp
 from .rng import RandomSource
 from .schedflags import DequeueFlags, EnqueueFlags, SelectFlags
 from .thread import SimThread, ThreadState
-from .timerwheel import TimingWheelQueue
 from .topology import Topology
 
 #: ``run_remaining`` value meaning "spin forever".
@@ -67,48 +66,6 @@ def _sanitize_from_env() -> bool:
     """``REPRO_SANITIZE`` truthiness (unset/0/false/no/off = off)."""
     value = os.environ.get("REPRO_SANITIZE", "")
     return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def _fast_from_env() -> bool:
-    """``REPRO_FAST`` truthiness (unset/0/false/no/off = off)."""
-    value = os.environ.get("REPRO_FAST", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def _eventq_from_env() -> str:
-    """``REPRO_EVENTQ``: ``wheel`` (default) or ``heap``."""
-    value = os.environ.get("REPRO_EVENTQ", "").strip().lower()
-    if value in ("", "wheel"):
-        return "wheel"
-    if value == "heap":
-        return "heap"
-    raise ValueError(f"REPRO_EVENTQ must be 'heap' or 'wheel', "
-                     f"got {value!r}")
-
-
-def _lane_from_env() -> bool:
-    """``REPRO_TICK_LANE`` truthiness; **on** unless explicitly
-    disabled (0/false/no/off).  Disabling routes ticks and resched
-    IPIs through the main queue like every other event — the
-    documented kill-switch, and the reference leg of the epoch-kernel
-    digest tests (``tests/test_epoch_tick.py``)."""
-    value = os.environ.get("REPRO_TICK_LANE", "").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
-def make_event_queue(kind: Optional[str] = None):
-    """Build an event queue: ``"wheel"`` (the default), ``"heap"``
-    (the reference binary heap, for differential testing), or ``None``
-    to consult ``REPRO_EVENTQ``.  Both implementations pop in
-    identical ``(time, seq)`` order, so the choice never changes a
-    schedule — see docs/performance.md."""
-    if kind is None:
-        kind = _eventq_from_env()
-    if kind == "wheel":
-        return TimingWheelQueue()
-    if kind == "heap":
-        return EventQueue()
-    raise ValueError(f"unknown event queue kind: {kind!r}")
 
 
 class Tracer:
@@ -146,47 +103,9 @@ class Engine:
                  tickless: Optional[bool] = None,
                  sanitize: Optional[bool] = None,
                  faults=None,
-                 event_queue=None,
-                 profile: Optional[bool] = None,
-                 fast: Optional[bool] = None):
+                 profile: Optional[bool] = None):
         self.now = 0
-        #: fast mode (``fast=True`` / ``REPRO_FAST``): :meth:`run`
-        #: selects a specialized loop with no per-event observer
-        #: branches, and schedulers may pick flat-array runqueue
-        #: backends.  Digest-identical by construction; silently falls
-        #: back to the instrumented loop whenever tracing, sanitize,
-        #: faults or profiling are active (those need the hooks).
-        self.fast = _fast_from_env() if fast is None else bool(fast)
-        #: the event queue: "heap"/"wheel"/a ready queue object; the
-        #: default consults REPRO_EVENTQ and falls back to the timing
-        #: wheel.  Either kind produces the identical schedule.
-        if event_queue is None or isinstance(event_queue, str):
-            self.events = make_event_queue(event_queue)
-        else:
-            self.events = event_queue
-        #: sorted side lane for the recurring tick + resched events
-        #: (the engine's highest-frequency traffic).  It shares the
-        #: main queue's sequence counter, so :meth:`_pop_next`'s merge
-        #: of the two heads replays the exact single-queue pop order;
-        #: ``REPRO_TICK_LANE=0`` disables it (the kill-switch, and the
-        #: reference leg of the epoch-kernel digest tests).
-        self._lane = EventLane(self.events) if _lane_from_env() else None
-        #: where the recurring events are (re)scheduled: the lane when
-        #: enabled, else the main queue
-        self._sink = self._lane if self._lane is not None else self.events
-        #: last instant for which the epoch prefold ran (one fused
-        #: multi-core pass per distinct tick instant — see _pop_next)
-        self._epoch_at = -1
-        #: hoisted bound methods for :meth:`_pop_next`, the
-        #: hottest-possible path (once per event).  With the lane off
-        #: the instance attribute *shadows* the ``_pop_next`` method
-        #: with the main queue's own ``pop_before`` — the merge
-        #: wrapper disappears entirely instead of testing a flag per
-        #: event.
-        self._peek_entry = self.events.peek_entry
-        self._pop_head = self.events.pop_head
-        if self._lane is None:
-            self._pop_next = self.events.pop_before
+        self.events = EventQueue()
         #: events executed by :meth:`run` (for events/sec reporting)
         self.events_processed = 0
         #: park the periodic tick on quiescent idle cores (NO_HZ)
@@ -253,21 +172,18 @@ class Engine:
         campaign execution (docs/distributed-campaigns.md).
 
         Everything a run mutates is rebuilt or zeroed: clock, event
-        queues (including their sequence counters, so the ``(time,
-        seq)`` stream replays exactly), RNG, metrics, tracer, cores,
+        queue (including its sequence counter, so the ``(time, seq)``
+        stream replays exactly), RNG, metrics, tracer, cores,
         threads, scheduler state, and the fault injector.  A reset
         engine is digest-identical to a newly constructed one
         (``tests/test_engine_reset.py`` fuzzes reuse-vs-fresh over
         randomized cell sequences); construction-time parameters
-        (topology, corun model, ctx-switch cost, tickless/fast flags)
+        (topology, corun model, ctx-switch cost, tickless flag)
         are deliberately retained — reuse an engine only for cells
         that share them.
         """
         self.now = 0
         self.events.clear()
-        if self._lane is not None:
-            self._lane.clear()
-        self._epoch_at = -1
         self.events_processed = 0
         self._nr_stopped_ticks = 0
         self.random = RandomSource(seed)
@@ -594,7 +510,7 @@ class Engine:
         core.account_to_now()
         if self._ticks_started:
             period = self.scheduler.tick_ns
-            core.tick_event = self._sink.make_reusable(
+            core.tick_event = self.events.make_reusable(
                 self._tick_callback(core), core,
                 label=f"tick:cpu{core.index}")
             behind = self.now - core.tick_origin
@@ -605,7 +521,7 @@ class Engine:
                 next_tick = self.now if rem == 0 \
                     else self.now + period - rem
             core.tick_stopped = False
-            self._sink.repost(core.tick_event, next_tick)
+            self.events.repost(core.tick_event, next_tick)
         self.request_resched(core)
         self.metrics.incr("engine.hotplug_onlines")
         Tracer._fire(self.tracer.on_fault, "core-online", cpu)
@@ -687,10 +603,10 @@ class Engine:
             at += self.faults.ipi_delay(core)
         reuse = core._resched_reuse
         if reuse is None:
-            reuse = core._resched_reuse = self._sink.make_reusable(
+            reuse = core._resched_reuse = self.events.make_reusable(
                 self._resched_event, core,
                 label=f"resched:cpu{core.index}")
-        core.resched_event = self._sink.repost(reuse, at)
+        core.resched_event = self.events.repost(reuse, at)
 
     def _resched_event(self, core: Core) -> None:
         core.resched_event = None
@@ -985,12 +901,12 @@ class Engine:
         for core in self.machine.cores:
             # Stagger ticks across cores like real timer interrupts.
             offset = (core.index * period) // max(1, len(self.machine))
-            core.tick_event = self._sink.make_reusable(
+            core.tick_event = self.events.make_reusable(
                 self._tick_callback(core), core,
                 label=f"tick:cpu{core.index}")
             core.tick_origin = self.now + period + offset
             core.tick_stopped = False
-            self._sink.repost(core.tick_event, core.tick_origin)
+            self.events.repost(core.tick_event, core.tick_origin)
 
     def _tick(self, core: Core) -> None:
         if not core.online:
@@ -1011,7 +927,7 @@ class Engine:
         next_tick = self.now + self.scheduler.tick_ns
         if self.faults is not None:
             next_tick = self.faults.tick_time(core, next_tick)
-        self._sink.repost(core.tick_event, next_tick)
+        self.events.repost(core.tick_event, next_tick)
         if core.current is not None:
             self._update_curr(core)
             self.scheduler.task_tick(core)
@@ -1043,7 +959,7 @@ class Engine:
         core.tick_stopped = False
         self._nr_stopped_ticks -= 1
         self.metrics.incr("engine.tick_restarts")
-        self._sink.repost(core.tick_event, next_tick)
+        self.events.repost(core.tick_event, next_tick)
 
     def _kick_stopped_ticks(self) -> None:
         """Restart parked ticks wherever the scheduler now has periodic
@@ -1083,105 +999,15 @@ class Engine:
             self.faults.start()
         self._stopped = False
         self._stop_reason = None
-        # Loop selection happens once, here — the fast loop carries no
-        # per-event observer branches at all, so it is only eligible
-        # when nothing needs those hooks.
-        if self.fast and self.sanitizer is None and self.profiler is None \
-                and self.faults is None and not self._tracing_active():
-            return self._run_fast(until, stop_when, check_interval)
-        return self._run_instrumented(until, stop_when, check_interval)
-
-    def _tracing_active(self) -> bool:
-        """Any tracer hook registered (disqualifies the fast loop)."""
-        tracer = self.tracer
-        return bool(tracer.on_switch or tracer.on_wake
-                    or tracer.on_migrate or tracer.on_exit
-                    or tracer.on_preempt or tracer.on_fault)
-
-    def _pop_next(self, until: Optional[int]):
-        """Merged pop across the main queue and the tick lane: the
-        earlier ``(time, seq)`` head wins, reproducing the global pop
-        order of a single queue bit-for-bit (the lane draws its seq
-        numbers from the main queue's counter).
-
-        When the winning lane head shares its instant with further
-        lane tick events — a tick *epoch*, e.g. unstaggered cores or
-        cores whose staggers collide — the scheduler's
-        :meth:`~repro.sched.base.SchedClass.epoch_prefold` runs once
-        for the whole group before the first tick of the instant
-        fires, batching the shared per-instant work (CFS: the PELT
-        decay-factor fills) a per-core pass would redo N times.
-        """
-        lane = self._lane
-        entries = lane._entries
-        head = lane._head
-        n = len(entries)
-        while head < n and entries[head][2].cancelled:
-            head += 1
-        if head >= n:
-            if n:
-                del entries[:]
-                head = 0
-            lane._head = head
-            return self.events.pop_before(until)
-        hentry = entries[head]
-        qentry = self._peek_entry()
-        if qentry is not None and qentry < hentry:
-            lane._head = head
-            if until is not None and qentry[0] > until:
-                return None
-            # peek_entry already drained dead heads: pop its entry
-            # directly instead of rescanning via pop_before
-            return self._pop_head()
-        htime = hentry[0]
-        if until is not None and htime > until:
-            lane._head = head
-            return None
-        if head + 1 < n and entries[head + 1][0] == htime \
-                and htime != self._epoch_at:
-            self._epoch_at = htime
-            lane._head = head
-            cores = lane.epoch_cores(htime)
-            if cores is not None:
-                self.scheduler.epoch_prefold(cores, htime)
-        head += 1
-        if head >= 64:
-            # compact the consumed prefix
-            del entries[:head]
-            head = 0
-        lane._head = head
-        event = hentry[2]
-        event.popped = True
-        return event
-
-    def _queue_exhausted(self, until: Optional[int]) -> str:
-        """Shared run-loop epilogue: the queue drained, or the next
-        live event lies beyond the deadline."""
-        if until is not None:
-            # Tickless idle can drain the queue entirely (the
-            # always-tick engine would spin no-op ticks up to the
-            # deadline, with threads possibly still blocked past it);
-            # jump straight there.
-            self.now = until
-            for core in self.machine.cores:
-                self._update_curr(core)
-            return "deadline"
-        if self.live_threads > 0 and any(
-                t.is_blocked for t in self.threads):
-            raise DeadlockError(
-                f"{self.live_threads} live threads but no events")
-        return "drained"
-
-    def _run_instrumented(self, until, stop_when, check_interval) -> str:
-        """The observable run loop: per-event profiler, sanitizer and
-        stop-condition hooks (each one local ``is None`` test when
-        off).  The event counter accumulates locally and flushes once
-        — the finally block keeps events/sec reporting exact on every
-        exit path, including exceptions from callbacks."""
+        # The observers are bound once, here: each costs one local
+        # ``is None`` test per event when off.  The event counter
+        # accumulates locally and flushes once — the finally block
+        # keeps events/sec reporting exact on every exit path,
+        # including exceptions from callbacks.
         events_since_check = 0
         profiler = self.profiler
         sanitizer = self.sanitizer
-        pop_before = self._pop_next
+        pop_before = self.events.pop_before
         processed = 0
         try:
             while True:
@@ -1190,12 +1016,12 @@ class Engine:
                 if profiler is None:
                     event = pop_before(until)
                 else:
-                    # queue-drain self-time (heap sift / wheel cascade)
-                    # gets its own ``eventq`` bucket: it belongs to no
-                    # event callback but is real per-event cost
+                    # queue-drain self-time (heap sift) gets its own
+                    # bucket: it belongs to no event callback but is
+                    # real per-event cost
                     t0 = timestamp()
                     event = pop_before(until)
-                    profiler.record("eventq", timestamp() - t0)
+                    profiler.record(QUEUE_BUCKET, timestamp() - t0)
                 if event is None:
                     return self._queue_exhausted(until)
                 self.now = event.time
@@ -1219,34 +1045,23 @@ class Engine:
         finally:
             self.events_processed += processed
 
-    def _run_fast(self, until, stop_when, check_interval) -> str:
-        """The specialized fast loop (``fast=True`` / ``REPRO_FAST``):
-        identical event order and schedule, but the profiler/sanitizer
-        observer branches are *gone*, not just false — :meth:`run`
-        only selects this loop when no observer is installed."""
-        events_since_check = 0
-        pop_before = self._pop_next
-        processed = 0
-        try:
-            while True:
-                if self._stopped:
-                    return self._stop_reason or "stopped"
-                event = pop_before(until)
-                if event is None:
-                    return self._queue_exhausted(until)
-                self.now = event.time
-                processed += 1
-                event.callback(*event.args)
-                if stop_when is not None:
-                    events_since_check += 1
-                    if events_since_check >= check_interval:
-                        events_since_check = 0
-                        if stop_when(self):
-                            return "condition"
-                if self.live_threads == 0:
-                    return "all-exited"
-        finally:
-            self.events_processed += processed
+    def _queue_exhausted(self, until: Optional[int]) -> str:
+        """Run-loop epilogue: the queue drained, or the next
+        live event lies beyond the deadline."""
+        if until is not None:
+            # Tickless idle can drain the queue entirely (the
+            # always-tick engine would spin no-op ticks up to the
+            # deadline, with threads possibly still blocked past it);
+            # jump straight there.
+            self.now = until
+            for core in self.machine.cores:
+                self._update_curr(core)
+            return "deadline"
+        if self.live_threads > 0 and any(
+                t.is_blocked for t in self.threads):
+            raise DeadlockError(
+                f"{self.live_threads} live threads but no events")
+        return "drained"
 
     # ------------------------------------------------------------------
     # canonical schedule state (digest hook)

@@ -1,53 +1,28 @@
 """The discrete-event queue.
 
-Two interchangeable implementations share the :class:`Event` type and
-the queue API (``post`` / ``repost`` / ``make_reusable`` / ``cancel`` /
-``pop`` / ``peek_time`` / ``len``):
+:class:`EventQueue` is a binary heap of :class:`Event` handles, popped
+in exactly ``(time, seq)`` order.  Design points:
 
-* :class:`EventQueue` — a binary heap.  Simple, obviously correct, and
-  the *reference implementation* for differential testing.
-* :class:`~repro.core.timerwheel.TimingWheelQueue` — a hierarchical
-  timing wheel (Linux ``timer_wheel`` style) with O(1) posting into
-  near-future slots, an overflow heap for far-future events, and
-  cascading on advance.  The engine's default; see
-  ``docs/performance.md``.
-
-Both pop events in exactly ``(time, seq)`` order, so every schedule —
-and therefore every digest in ``tests/golden/`` — is identical under
-either queue (``tests/test_eventq_differential.py`` enforces this).
-
-Shared design points:
-
-* **Tuple entries.**  Internally both queues store ``(time, seq,
-  event)`` tuples, so heap sift comparisons happen on C-level tuples
-  instead of calling ``Event.__lt__`` — a large constant-factor win on
-  the hottest path in the simulator.
+* **Tuple entries.**  The heap stores ``(time, seq, event)`` tuples,
+  so sift comparisons happen on C-level tuples instead of calling
+  ``Event.__lt__`` — a large constant-factor win on the hottest path
+  in the simulator.
 * **Lazy cancellation.**  ``cancel()`` marks the event dead in O(1);
   dead entries are skipped on pop and reclaimed by compaction once
   they outnumber the live ones.  Accounting is *subtractive*:
   compaction decrements the dead counter by the number of entries it
-  actually removed, never resets it to zero, so a dead entry that
-  currently sits in a different region (e.g. moved by a timing-wheel
-  cascade) cannot be double-counted as reclaimed.  Compaction also
-  filters container lists **in place** (``list[:] = ...``) so hoisted
-  aliases held across a cascade or pop loop can never go stale.
+  actually removed, never resets it to zero, and it filters the heap
+  **in place** (``list[:] = ...``) so hoisted aliases held across a
+  pop loop can never go stale.
 * **Reusable events.**  Recurring fixed-callback events — the per-core
   scheduler tick, the resched IPI — go through
   :meth:`EventQueue.repost` instead of allocating a fresh ``Event``
   (and formatting a fresh label) every period.
-* **The tick lane.**  :class:`EventLane` is a tiny sorted side queue
-  the engine keeps *next to* the main queue for exactly those
-  recurring events.  It draws sequence numbers from the main queue's
-  counter (:meth:`EventQueue.reserve_seq`), so merging the lane head
-  against the main head by ``(time, seq)`` reproduces the global pop
-  order bit-for-bit while the heap/wheel never sees tick or IPI
-  traffic at all.  See ``Engine._pop_next`` and docs/performance.md.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from typing import Any, Callable, Optional
 
 
@@ -59,7 +34,7 @@ class Event:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled",
-                 "popped", "label", "_queue", "_region")
+                 "popped", "label", "_queue")
 
     def __init__(self, time: int, seq: int,
                  callback: Callable[..., Any], args: tuple, label: str = "",
@@ -73,10 +48,6 @@ class Event:
         self.popped = False
         self.label = label
         self._queue = queue
-        #: which region of the owning queue currently holds the entry
-        #: (only the timing wheel distinguishes regions; the heap
-        #: ignores it).  See ``timerwheel._REGION_*``.
-        self._region = 0
 
     def cancel(self) -> bool:
         """Logically remove the event; it will be skipped when popped.
@@ -106,8 +77,7 @@ class Event:
 
 
 class EventQueue:
-    """Binary heap of ``(time, seq, event)`` entries — the reference
-    event-queue implementation."""
+    """Binary heap of ``(time, seq, event)`` entries."""
 
     __slots__ = ("_heap", "_seq", "_live", "_dead_in_heap")
 
@@ -202,38 +172,6 @@ class EventQueue:
             return event
         return None
 
-    def peek_entry(self) -> Optional[tuple]:
-        """The earliest live ``(time, seq, event)`` entry without
-        removing it (drains dead heads like :meth:`peek_time`).  The
-        tuple is the queue's own entry — callers must not mutate it."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if not entry[2].cancelled:
-                return entry
-            heapq.heappop(heap)
-            self._dead_in_heap -= 1
-        return None
-
-    def pop_head(self) -> Event:
-        """Pop the live head that :meth:`peek_entry` just returned.
-
-        Only valid immediately after a non-``None`` :meth:`peek_entry`
-        with no intervening queue mutation — the dead-head drain has
-        already run, so this is the single ``heappop`` the fused
-        :meth:`pop_before` would do (the engine's merged lane/queue
-        pop uses the pair to avoid scanning the heap twice)."""
-        event = heapq.heappop(self._heap)[2]
-        event.popped = True
-        self._live -= 1
-        return event
-
-    def reserve_seq(self) -> int:
-        """Draw the next sequence number without posting (the tick
-        lane's ordering hook — see :class:`EventLane`)."""
-        self._seq += 1
-        return self._seq
-
     def clear(self) -> None:
         """Drop every entry and reset all counters — including the
         sequence counter, so a reused engine replays the exact seq
@@ -279,131 +217,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return self._live > 0
-
-
-class EventLane:
-    """Sorted side lane for the engine's highest-frequency recurring
-    events: the per-core scheduler ticks and resched IPIs.
-
-    Those events dominate the main queue's population on tick-heavy
-    workloads, and every one of them pays heap sift / wheel cascade
-    cost twice (post + pop).  The lane keeps them in a plain sorted
-    list instead — its population is bounded by ~2 entries per core,
-    so an ``insort`` memmove is a handful of pointer moves and the
-    head pop is O(1).
-
-    Ordering contract: :meth:`repost` draws its sequence number from
-    the owning main queue's shared counter
-    (:meth:`EventQueue.reserve_seq`), at the same call sites a direct
-    post would have — so the global ``(time, seq)`` order across both
-    structures is *identical* to a single-queue run, and the engine's
-    merged pop (``Engine._pop_next``) replays it bit-for-bit.  The
-    digest-identity of lane-on vs lane-off runs is fuzzed by
-    ``tests/test_epoch_tick.py``.
-
-    Cancellation is lazy (:meth:`peek` skips dead heads); like the
-    main queues, an event must never be reposted while a cancelled
-    instance of it still sits in the lane (the engine's hotplug paths
-    drop and re-create the event objects instead).
-    """
-
-    __slots__ = ("_entries", "_head", "_queue")
-
-    def __init__(self, queue):
-        #: sorted (time, seq, event) entries; consumed prefix kept
-        #: until compaction
-        self._entries: list[tuple] = []
-        #: index of the first unconsumed entry
-        self._head = 0
-        #: the main queue whose seq counter this lane shares
-        self._queue = queue
-
-    def repost(self, event: Event, time: int) -> Event:
-        """Re-arm a recurring event (same contract as
-        :meth:`EventQueue.repost`), keeping it in the lane."""
-        # reserve_seq() inlined: one draw per tick/resched repost
-        queue = self._queue
-        queue._seq = seq = queue._seq + 1
-        event.time = time
-        event.seq = seq
-        event.cancelled = False
-        event.popped = False
-        event._queue = self
-        entries = self._entries
-        entry = (time, seq, event)
-        if entries and entry < entries[-1]:
-            insort(entries, entry, lo=self._head)
-        else:
-            entries.append(entry)
-        return event
-
-    def make_reusable(self, callback: Callable[..., Any], *args,
-                      label: str = "") -> Event:
-        """Create an unscheduled event for later :meth:`repost` calls."""
-        event = Event(0, 0, callback, args, label, queue=self)
-        event.popped = True  # not in the lane yet
-        return event
-
-    def peek(self) -> Optional[Event]:
-        """The earliest live event without removing it (consumes dead
-        heads); ``None`` when the lane holds no live entries."""
-        entries = self._entries
-        head = self._head
-        n = len(entries)
-        while head < n:
-            event = entries[head][2]
-            if not event.cancelled:
-                self._head = head
-                return event
-            head += 1
-        del entries[:]
-        self._head = 0
-        return None
-
-    def pop_head(self) -> Event:
-        """Pop the event the last :meth:`peek` returned."""
-        head = self._head
-        event = self._entries[head][2]
-        head += 1
-        if head >= 64:
-            # compact the consumed prefix
-            del self._entries[:head]
-            head = 0
-        self._head = head
-        event.popped = True
-        return event
-
-    def epoch_cores(self, time: int) -> Optional[list]:
-        """Cores of the ≥2 same-instant *tick* entries at the lane
-        head, else ``None`` — the epoch-group probe behind the fused
-        multi-core tick pass (``Engine._pop_next``).  O(1) when the
-        head instant holds a single entry (the common case)."""
-        entries = self._entries
-        i = self._head + 1
-        n = len(entries)
-        if i >= n or entries[i][0] != time:
-            return None
-        cores = []
-        head_event = entries[self._head][2]
-        if not head_event.cancelled \
-                and head_event.label.startswith("tick:"):
-            cores.append(head_event.args[0])
-        while i < n and entries[i][0] == time:
-            event = entries[i][2]
-            if not event.cancelled and event.label.startswith("tick:"):
-                cores.append(event.args[0])
-            i += 1
-        return cores if len(cores) >= 2 else None
-
-    def _note_cancel(self, event: Event) -> None:
-        """Lazy cancellation: :meth:`peek` skips dead entries; nothing
-        to account (the lane is outside the main queue's counters)."""
-
-    def clear(self) -> None:
-        """Drop every entry (``Engine.reset``)."""
-        del self._entries[:]
-        self._head = 0
-
-    def __len__(self) -> int:
-        return sum(1 for e in self._entries[self._head:]
-                   if not e[2].cancelled)

@@ -80,7 +80,7 @@ class Core:
     def reset(self) -> None:
         """Restore construction-time state (``Engine.reset``).
 
-        The owning engine clears its event queues first, so pending
+        The owning engine clears its event queue first, so pending
         event handles here are dropped wholesale rather than
         individually cancelled; ``rq`` is rebuilt by the engine via
         ``scheduler.init_core`` right after.

@@ -150,17 +150,6 @@ class SchedClass(abc.ABC):
         """
         return None
 
-    def epoch_prefold(self, cores: list, now: int) -> None:
-        """Shared prework for a *tick epoch*: two or more cores whose
-        tick events fire at the same instant ``now``.  The engine's
-        merged pop (``Engine._pop_next``) calls this once, before the
-        first tick of the group fires; the per-core ticks then run
-        unchanged.  Implementations may therefore only do work whose
-        omission is unobservable — warming caches whose later fills
-        would be bit-identical (CFS prefills PELT decay factors) — so
-        skipping the hook never changes a schedule.  Default: no-op.
-        """
-
     # -- introspection -----------------------------------------------------
 
     @abc.abstractmethod

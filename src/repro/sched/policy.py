@@ -389,7 +389,7 @@ class PolicyScheduler(SchedClass):
         """
         from ..core.engine import RUN_FOREVER
         engine = self.engine
-        events = engine._sink
+        events = engine.events
         tick_ns = self.tick_ns
         timeslice = self.policy.timeslice
         on_charge = self.policy.on_charge

@@ -104,19 +104,15 @@ def behavior_from_plan(plan):
 def build_engine(scenario: Scenario, sched: str, *,
                  sanitize: bool | None = True,
                  tickless: bool | None = None,
-                 faults=None,
-                 event_queue=None) -> tuple[Engine, list]:
+                 faults=None) -> tuple[Engine, list]:
     """Instantiate ``scenario`` under ``sched``; returns (engine,
     threads in scenario order).  Threads are spawned via the engine's
     delayed-spawn path so spawn order is part of the scenario.
     ``faults`` injects a :class:`~repro.faults.plan.FaultPlan` — the
-    chaos mode of the fuzz campaign; ``event_queue`` selects the
-    event-queue implementation (``"heap"``/``"wheel"``) for the
-    heap-vs-wheel differential tests."""
+    chaos mode of the fuzz campaign."""
     topo = smp(scenario.ncpus, cpus_per_llc=scenario.cpus_per_llc)
     engine = Engine(topo, scheduler_factory(sched), seed=scenario.seed,
-                    sanitize=sanitize, tickless=tickless, faults=faults,
-                    event_queue=event_queue)
+                    sanitize=sanitize, tickless=tickless, faults=faults)
     threads = []
     for ft in scenario.threads:
         spec = ThreadSpec(
@@ -131,13 +127,11 @@ def build_engine(scenario: Scenario, sched: str, *,
 def run_scenario(scenario: Scenario, sched: str, *,
                  sanitize: bool | None = True,
                  tickless: bool | None = None,
-                 faults=None,
-                 event_queue=None) -> tuple[Engine, list, str]:
+                 faults=None) -> tuple[Engine, list, str]:
     """Build and run ``scenario`` to its deadline; returns
     (engine, threads, stop reason)."""
     engine, threads = build_engine(scenario, sched, sanitize=sanitize,
-                                   tickless=tickless, faults=faults,
-                                   event_queue=event_queue)
+                                   tickless=tickless, faults=faults)
     reason = engine.run(until=msec(scenario.until_ms))
     return engine, threads, reason
 

@@ -321,7 +321,7 @@ class UleScheduler(SchedClass):
         """
         from ..core.engine import RUN_FOREVER
         engine = self.engine
-        events = engine._sink
+        events = engine.events
         tick_ns = self.tick_ns
         tun = self.tunables
         slice_for_load = tun.slice_for_load

@@ -238,3 +238,33 @@ def test_charge_overhead_delays_completion():
     eng.run(until=sec(1))
     assert t.exited_at == msec(13)
     assert eng.machine.cores[0].sched_overhead_ns == msec(3)
+
+
+def test_profiled_total_counts_executed_events_only():
+    """The queue-pop bucket keeps its self-time row but is not counted
+    as events: the reported total equals the events the loop ran."""
+    from repro.core.profile import QUEUE_BUCKET, global_profiler
+
+    global_profiler().clear()
+    eng = Engine(smp(4), scheduler_factory("cfs"), profile=True)
+
+    def sleeper(ctx):
+        for _ in range(20):
+            yield Run(msec(1))
+            yield Sleep(msec(2))
+
+    for i in range(6):
+        eng.spawn(ThreadSpec(f"spin{i}", lambda ctx: iter([run_forever()])))
+        eng.spawn(ThreadSpec(f"sleep{i}", sleeper))
+    eng.run(until=msec(100))
+    profiler = eng.profiler
+    try:
+        assert profiler.counts[QUEUE_BUCKET] > eng.events_processed
+        assert profiler.total_events == eng.events_processed
+        report = profiler.report().splitlines()
+        assert any(line.startswith(QUEUE_BUCKET) for line in report)
+        total = report[-1].split()
+        assert total[0] == "total"
+        assert int(total[1]) == eng.events_processed
+    finally:
+        profiler.clear()

@@ -151,21 +151,17 @@ def test_engine_digests_identical_under_both_backends(seed):
         scenario.describe()
 
 
-def test_fast_mode_defaults_flat_timeline_on():
-    """``CfsTunables.flat_timeline=None`` follows the engine's fast
-    flag; an explicit setting wins either way."""
-    from repro.cfs.timeline import FlatTimeline as FT
+def test_default_cfs_uses_flat_timeline():
+    """FlatTimeline is the default CFS backend; ``flat_timeline=False``
+    selects the red-black tree it is diffed against."""
     from repro.core.engine import Engine
     from repro.core.topology import smp
     from repro.sched import scheduler_factory
 
-    def backend(fast, **options):
-        engine = Engine(smp(2), scheduler_factory("cfs", **options),
-                        fast=fast)
+    def backend(**options):
+        engine = Engine(smp(2), scheduler_factory("cfs", **options))
         return type(engine.scheduler.cpurq(
             engine.machine.cores[0]).root.tree)
 
-    assert backend(fast=False) is RBTree
-    assert backend(fast=True) is FT
-    assert backend(fast=True, flat_timeline=False) is RBTree
-    assert backend(fast=False, flat_timeline=True) is FT
+    assert backend() is FlatTimeline
+    assert backend(flat_timeline=False) is RBTree

@@ -13,7 +13,7 @@ from repro.core import Engine
 from repro.core.clock import msec, sec, usec
 from repro.core.engine import _sanitize_from_env
 from repro.core.errors import SanitizerError, SimulationError
-from repro.core.topology import smp
+from repro.core.topology import single_core, smp
 from repro.experiments.base import make_engine as make_exp_engine
 from repro.experiments.fig5_single_core_perf import run_app
 from repro.sched import scheduler_factory
@@ -213,8 +213,15 @@ def _first_populated_cfs_tree(engine):
     return None
 
 
+def _cfs_engine(flat_timeline):
+    """A sanitized one-core CFS engine on the chosen timeline backend."""
+    return Engine(single_core(),
+                  scheduler_factory("cfs", flat_timeline=flat_timeline),
+                  sanitize=True)
+
+
 def test_catches_rbtree_order_corruption():
-    engine = make_engine("cfs", ncpus=1)
+    engine = _cfs_engine(flat_timeline=False)
     churn(engine, count=5)
 
     state = {}
@@ -230,6 +237,32 @@ def test_catches_rbtree_order_corruption():
         del tree._nodes[node.key]
         node.key = (node.key[0] + sec(10), node.key[1])
         tree._nodes[node.key] = node
+        state["corrupted"] = True
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(20))
+    assert state.get("corrupted")
+    err = exc_info.value
+    assert err.invariant in ("rbtree-order", "rbtree-leftmost",
+                             "rbtree-structure")
+    assert "cpu0" in str(err)
+
+
+def test_catches_flat_timeline_order_corruption():
+    engine = _cfs_engine(flat_timeline=True)
+    churn(engine, count=5)
+
+    state = {}
+
+    def corrupt():
+        tree = _first_populated_cfs_tree(engine)
+        if tree is None or len(tree) < 2:
+            inject(engine, engine.now + usec(50), corrupt)
+            return
+        # push the leftmost key past everyone else's without moving it
+        key = tree._keys[0]
+        tree._keys[0] = (key[0] + sec(10), key[1])
         state["corrupted"] = True
 
     inject(engine, msec(1), corrupt)

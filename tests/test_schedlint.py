@@ -298,7 +298,7 @@ def test_hot_loop_attr_only_in_run_named_functions():
                 self.events.pop()
         """) == []
     assert rules_of(lint("""
-        def _run_fast(self):
+        def run_until(self):
             while self.events:
                 pass
         """)) == ["hot-loop-attr"]

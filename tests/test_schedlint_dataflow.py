@@ -30,8 +30,7 @@ from repro.analysis.lint.dataflow.baseline import (apply_baseline,
                                                    load_baseline,
                                                    write_baseline)
 from repro.analysis.lint.dataflow.cfg import build_cfg, module_functions
-from repro.analysis.lint.dataflow.parity import (RULE_FASTPATH,
-                                                 RULE_TICKHOOK,
+from repro.analysis.lint.dataflow.parity import (RULE_TICKHOOK,
                                                  check_parity)
 from repro.analysis.lint.dataflow.sarif import sarif_dict
 from repro.analysis.lint.dataflow.solver import (env_join,
@@ -392,7 +391,7 @@ def test_replaced_syntactic_rules_disabled_under_dataflow():
 
 
 # ----------------------------------------------------------------------
-# fast-path / tick-hook parity against the real sources
+# tick-hook parity against the real sources
 # ----------------------------------------------------------------------
 
 def test_parity_real_tree_is_clean():
@@ -417,23 +416,6 @@ def mutate(files, path_suffix, old, new, after=None):
 
 #: (name, mutation kwargs, expected rule) — the parity self-check
 PARITY_MUTATIONS = [
-    ("fast-drops-now-assignment",
-     dict(path_suffix="core/engine.py", after="def _run_fast",
-          old="self.now = event.time",
-          new="pass"),
-     RULE_FASTPATH),
-    ("instrumented-gains-statement",
-     dict(path_suffix="core/engine.py", after="def _run_instrumented",
-          old="self.now = event.time",
-          new="self.now = event.time\n"
-              "                self._debug_marker = event.time"),
-     RULE_FASTPATH),
-    ("fast-reorders-stop-check",
-     dict(path_suffix="core/engine.py", after="def _run_fast",
-          old="if self.live_threads == 0:\n"
-              "                    return \"all-exited\"",
-          new="pass"),
-     RULE_FASTPATH),
     ("cfs-hook-drops-last-ran",
      dict(path_suffix="cfs/core.py",
           old="curr.last_ran = now",
