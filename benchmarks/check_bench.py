@@ -19,8 +19,11 @@ the tolerance as signal.
 Every run also appends one entry — git sha, smoke flag, events/sec
 per profile family — to ``BENCH_trajectory.json``, so the perf story
 across PRs is recorded data, not commit-message claims (see
-docs/performance.md for how to read it).  Re-running on the same sha
-replaces that sha's entry instead of duplicating it.
+docs/performance.md for how to read it).  On a dirty tree the sha
+carries a ``+<hash>`` of the uncommitted changes, so numbers measured
+before a commit name the code they measured rather than its parent.
+Re-running on the same key replaces that key's entry instead of
+duplicating it.
 
 To re-record the baseline after an intentional change::
 
@@ -29,6 +32,7 @@ To re-record the baseline after an intentional change::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -44,17 +48,55 @@ TRAJECTORY = os.path.join(HERE, "BENCH_trajectory.json")
 MAX_REGRESSION = 1.5
 
 
-def _git_sha() -> str:
-    """Short sha of HEAD, or ``"unknown"`` outside a git checkout."""
+def _git(*args, cwd=None):
+    """stdout of ``git args`` (bytes), or None when git fails."""
     try:
-        proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                              capture_output=True, text=True,
-                              cwd=HERE, timeout=10)
+        proc = subprocess.run(["git", *args], capture_output=True,
+                              cwd=cwd or HERE, timeout=10)
     except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _dirty_hash():
+    """8 hex digits hashing the uncommitted changes (tracked diff plus
+    untracked files), or None for a clean tree.  The trajectory file
+    itself is left out: recording an entry must not make the next run
+    on the same commit look dirty."""
+    top = _git("rev-parse", "--show-toplevel")
+    if not top:
+        return None
+    top = top.decode().strip()
+    own = os.path.relpath(os.path.realpath(TRAJECTORY),
+                          os.path.realpath(top))
+    diff = _git("diff", "HEAD", "--binary", "--", ".",
+                f":(exclude){own}", cwd=top) or b""
+    others = _git("ls-files", "-z", "--others", "--exclude-standard",
+                  cwd=top) or b""
+    names = sorted(filter(None, others.split(b"\0")))
+    if not diff and not names:
+        return None
+    digest = hashlib.sha256(diff)
+    for name in names:
+        digest.update(name)
+        try:
+            with open(os.path.join(top, name.decode()), "rb") as fh:
+                digest.update(fh.read())
+        except OSError:
+            pass
+    return digest.hexdigest()[:8]
+
+
+def _git_sha() -> str:
+    """Short sha of HEAD, suffixed ``+<dirty hash>`` when the tree has
+    uncommitted changes (so a change's numbers are not filed under its
+    parent's sha), or ``"unknown"`` outside a git checkout."""
+    head = _git("rev-parse", "--short", "HEAD")
+    head = head.decode().strip() if head else ""
+    if not head:
         return "unknown"
-    if proc.returncode != 0:
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
+    dirty = _dirty_hash()
+    return f"{head}+{dirty}" if dirty else head
 
 
 def append_trajectory(current: dict) -> dict:

@@ -15,7 +15,9 @@ scheduler invariants after *every* dispatched event:
 * **CFS** — rbtree ordering and leftmost cache, ``nr_running`` /
   ``load_weight`` / hierarchical ``h_nr_running`` bookkeeping, curr
   kept out of the tree, cached ``min_vruntime`` never moving
-  backwards, and PELT averages staying in range with weights in sync.
+  backwards, PELT averages staying in range (``util_avg <= 1``
+  exactly) with weights in sync, and the per-cpu runnable-weight and
+  per-group weight counters equal to what they summarize.
 * **ULE** — ``tdq.load`` equal to queued threads plus the running one,
   never negative; the ``_nr_loaded`` steal-threshold counter exact;
   the running thread never also marked queued; per-queue bitmap
@@ -38,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import Engine
     from ..core.machine import Core
 
-#: absolute slack for float PELT range checks
+#: absolute slack for the float PELT lower-bound check
 _EPS = 1e-9
 
 
@@ -298,6 +300,23 @@ class Sanitizer:
                 for se in entities:
                     if not se.is_task and se.my_rq is not None:
                         stack.append(se.my_rq)
+            # the balancer's no-op proof reads this counter as an
+            # upper bound on the cpu's load (balance._provably_balanced)
+            weight = sum(fair.weight_of(t)
+                         for t in fair.runnable_threads(core))
+            if fair.runnable_weight[core.index] != weight:
+                self._fail("cfs-task-weight",
+                           f"cpu{core.index} runnable_weight="
+                           f"{fair.runnable_weight[core.index]} but its "
+                           f"runnable tasks weigh {weight}",
+                           cpu=core.index)
+        for group in (fair.root_group, *fair._app_groups.values()):
+            total = sum(rq.load_weight for rq in group.cfs_rqs)
+            if group.load_weight_sum != total:
+                self._fail("cfs-group-weight",
+                           f"task group {group.name} load_weight_sum="
+                           f"{group.load_weight_sum} but its runqueues "
+                           f"sum to {total}")
 
     def _cfs_rq_invariants(self, rq, core: "Core") -> None:
         cpu = core.index
@@ -363,7 +382,9 @@ class Sanitizer:
                            f"cpu{cpu} entity {se} weight {se.weight} "
                            f"out of sync with avg.weight "
                            f"{se.avg.weight}", cpu=cpu)
-            if not (-_EPS <= se.avg.util_avg <= 1.0 + _EPS):
+            # the upper bound is exact: the balancer's weight bound
+            # relies on every PELT term being at most its weight
+            if not (-_EPS <= se.avg.util_avg <= 1.0):
                 self._fail("pelt-range",
                            f"cpu{cpu} entity {se} util_avg="
                            f"{se.avg.util_avg} outside [0, 1]",

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .pelt import HALF_LIFE_NS
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.machine import Core
     from ..core.thread import SimThread
@@ -58,32 +56,21 @@ def load_balance(sched: "CfsScheduler", core: "Core",
                  domain: "SchedDomain", idle: bool) -> int:
     """Try to pull load into ``core`` from the busiest group of
     ``domain``; returns the number of migrated tasks."""
-    now = sched.engine.now
-    sig = domain.skip_sig
-    if sig is not None:
-        # The last pass over this domain found nothing to move while
-        # every CPU in the span sat at the saturated PELT fixed point.
-        # Saturated entries are time-invariant (pelt._SATURATED) and
-        # popped on any runnable-set / weight / timeline change, so as
-        # long as each memoized entry is still the live one (and still
-        # inside its half-life window) the inputs to the busiest-group
-        # search are bit-identical and the pass would no-op again.
-        sat_loads = sched._sat_loads
-        for i, cpu in enumerate(domain.span_cpus):
-            ent = sat_loads[cpu]
-            if ent is not sig[i] or now - ent[1] >= HALF_LIFE_NS:
-                domain.skip_sig = None
-                break
-        else:
-            domain.nr_balance_failed = 0
-            return 0
     local_group = domain.local_group()
-    # One batched pass over the span fills the per-instant memo; the
-    # group sums then index it directly (the balancer's hot path).
-    loads = sched.loads_for(domain.span)
+    loads = sched.loads_for(local_group)
     local_load = 0.0
     for cpu in local_group:
         local_load += loads[cpu]
+    # Average over group size: the paper's "load of the NUMA nodes,
+    # defined as the average load of their cores".
+    local_avg = local_load / len(local_group)
+    if _provably_balanced(sched, core.index, domain, local_group,
+                          local_load, local_avg):
+        domain.nr_balance_failed = 0
+        return 0
+    # One batched pass over the span fills the per-instant memo; the
+    # group sums then index it directly (the balancer's hot path).
+    loads = sched.loads_for(domain.span)
     busiest_group = None
     busiest_load = local_load
     local_cpu = core.index
@@ -98,15 +85,10 @@ def load_balance(sched: "CfsScheduler", core: "Core",
             busiest_load = load
     if busiest_group is None:
         domain.nr_balance_failed = 0
-        _memo_no_action(sched, domain, now)
         return 0
-    # Average over group size: the paper's "load of the NUMA nodes,
-    # defined as the average load of their cores".
-    local_avg = local_load / len(local_group)
     busiest_avg = busiest_load / len(busiest_group)
     if busiest_avg * 100 <= local_avg * domain.imbalance_pct:
         domain.nr_balance_failed = 0
-        _memo_no_action(sched, domain, now)
         return 0
     victim_cpu = busiest_cpu_in(sched, busiest_group)
     if victim_cpu is None:
@@ -123,25 +105,30 @@ def load_balance(sched: "CfsScheduler", core: "Core",
     return moved
 
 
-def _memo_no_action(sched: "CfsScheduler", domain: "SchedDomain",
-                    now: int) -> None:
-    """Record a no-action pass's saturated-load signature so the next
-    pass can be skipped while it stays valid (see ``load_balance``).
-    Only passes whose *every* span CPU is saturated are memoable —
-    any decaying average would change the inputs next time."""
-    sat_loads = sched._sat_loads
-    sig = []
-    for cpu in domain.span_cpus:
-        ent = sat_loads[cpu]
-        if ent is None or now - ent[1] >= HALF_LIFE_NS:
-            return
-        sig.append(ent)
-    domain.skip_sig = tuple(sig)
+def _provably_balanced(sched: "CfsScheduler", local_cpu: int,
+                       domain: "SchedDomain", local_group,
+                       local_load: float, local_avg: float) -> bool:
+    """True when no remote group's *runnable weight* can clear either
+    gate of the full pass, so that pass would find nothing to move.
 
-
-def group_load(sched: "CfsScheduler", group) -> float:
-    """Sum of the CPU loads of a balancing group."""
-    return sum(sched.cpu_load(cpu) for cpu in group)
+    Exact, not a heuristic: ``util_avg`` stays in [0, 1] and IEEE
+    rounding is monotone, so every folded PELT term is at most its
+    task's weight and a group's folded load is at most ``W_g``, the
+    integer sum of ``sched.runnable_weight`` over the group.  A group
+    with ``W_g <= local_load`` cannot be the busiest, and one whose
+    ``W_g`` average passes the imbalance test cannot fail it with its
+    smaller real load.  Costs one integer sum per group instead of a
+    PELT fold of every task in the span.
+    """
+    weights = sched.runnable_weight.__getitem__
+    gate = local_avg * domain.imbalance_pct
+    for group in domain.groups:
+        if group is local_group or local_cpu in group:
+            continue
+        weight = sum(map(weights, group))
+        if weight > local_load and weight / len(group) * 100 > gate:
+            return False
+    return True
 
 
 def busiest_cpu_in(sched: "CfsScheduler", group) -> Optional[int]:

@@ -30,7 +30,7 @@ class TaskGroup:
     """A cgroup: a named set of threads with a CPU share."""
 
     __slots__ = ("name", "parent", "shares", "children", "cfs_rqs",
-                 "entities")
+                 "entities", "load_weight_sum")
 
     def __init__(self, name: str, ncpus: int, tunables: "CfsTunables",
                  parent: Optional["TaskGroup"] = None,
@@ -39,10 +39,14 @@ class TaskGroup:
         self.parent = parent
         self.shares = shares
         self.children: list["TaskGroup"] = []
+        #: ``sum(rq.load_weight for rq in cfs_rqs)``, kept by the
+        #: runqueues as their weight changes
+        self.load_weight_sum = 0
         if parent is None:
             # The root group's runqueues are the per-CPU top levels;
             # they have no owner entity.
-            self.cfs_rqs = [CfsRq(cpu, tunables) for cpu in range(ncpus)]
+            self.cfs_rqs = [CfsRq(cpu, tunables, group=self)
+                            for cpu in range(ncpus)]
             self.entities: list[Optional[SchedEntity]] = [None] * ncpus
         else:
             parent.children.append(self)
@@ -68,8 +72,8 @@ class TaskGroup:
         return self.entities[cpu]
 
     def total_load_weight(self) -> int:
-        """Sum of this group's queued task weight across all CPUs."""
-        return sum(rq.load_weight for rq in self.cfs_rqs)
+        """Sum of this group's queued weight across all CPUs."""
+        return self.load_weight_sum
 
     def group_weight_on(self, cpu: int) -> int:
         """The weight the group entity should have on ``cpu``:

@@ -106,6 +106,12 @@ class CfsScheduler(SchedClass):
         #: alongside ``_avgs_cache``) or the stalest average leaves the
         #: d >= 0.5 window
         self._sat_loads: list = [None] * ncpus
+        #: cpu -> exact integer sum of the weights of the runnable
+        #: tasks queued there (kept in enqueue/dequeue/renice).  Every
+        #: PELT term is at most its weight, so a cpu's load never
+        #: exceeds this; the balancer uses it to prove a pass is a
+        #: no-op before folding the span (balance._provably_balanced)
+        self.runnable_weight: list = [0] * ncpus
         #: reusable per-core balance-tick events
         self._lb_events: dict[int, object] = {}
         #: core index -> resolved :class:`CfsCpuRq`; ``core.rq`` is
@@ -217,6 +223,7 @@ class CfsScheduler(SchedClass):
         se = self.state_of(thread).se
         new_weight = nice_to_weight(thread.nice)
         if se.cfs_rq is not None and se.on_rq:
+            self.runnable_weight[se.cfs_rq.cpu] += new_weight - se.weight
             se.cfs_rq.reweight_entity(se, new_weight)
             self._avgs_cache[se.cfs_rq.cpu] = None
             self._sat_loads[se.cfs_rq.cpu] = None
@@ -252,6 +259,7 @@ class CfsScheduler(SchedClass):
             rq.place_entity(se, initial=False)
         rq.enqueue_entity(se)
         rq.h_nr_running += 1
+        self.runnable_weight[cpu] += se.weight
         for group in self._group_path(state.group):
             gse = group.entity_on(cpu)
             parent_rq = group.parent.rq_on(cpu)
@@ -275,6 +283,7 @@ class CfsScheduler(SchedClass):
         rq = state.group.rq_on(cpu)
         rq.dequeue_entity(se)
         rq.h_nr_running -= 1
+        self.runnable_weight[cpu] -= se.weight
         if flags & DequeueFlags.MIGRATE:
             se.vruntime -= rq.min_vruntime
         for group in self._group_path(state.group):

@@ -42,18 +42,6 @@ class SchedDomain:
     #: consecutive balance attempts that moved nothing
     nr_balance_failed: int = 0
 
-    def __post_init__(self):
-        #: span in a fixed iteration order, index-paired with
-        #: ``skip_sig`` (frozenset iteration is stable for a given
-        #: object, but pinning a tuple makes the pairing explicit)
-        self.span_cpus = tuple(self.span)
-        #: the saturated-load entries (by identity) of the last
-        #: balance pass over this domain that took no action; while
-        #: every entry is still live the pass would replay
-        #: bit-identically, so it can be skipped outright (see
-        #: :func:`repro.cfs.balance.load_balance`)
-        self.skip_sig = None
-
     def local_group(self) -> frozenset[int]:
         """The group containing this domain's CPU."""
         for group in self.groups:

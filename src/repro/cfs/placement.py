@@ -16,7 +16,7 @@ path (machine-wide idlest CPU).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..core.clock import NSEC_PER_SEC
 
@@ -60,11 +60,15 @@ def select_task_rq_fair(sched: "CfsScheduler", thread: "SimThread",
     no online CPU falls back to the whole online machine (the engine's
     ``_constrain_cpu`` breaks affinity the same way).
     """
-    cores = sched.machine.cores
-    allowed = [c for c in range(len(sched.machine))
-               if thread.allows_cpu(c) and cores[c].online]
-    if not allowed:
-        allowed = sched.machine.online_cpus()
+    machine = sched.machine
+    cores = machine.cores
+    if thread.affinity is None and machine.nr_offline == 0:
+        allowed = range(len(cores))
+    else:
+        allowed = [c for c in range(len(cores))
+                   if thread.allows_cpu(c) and cores[c].online]
+        if not allowed:
+            allowed = machine.online_cpus()
     if len(allowed) == 1:
         return allowed[0]
     prev_cpu = thread.cpu if thread.cpu is not None else allowed[0]
@@ -117,15 +121,12 @@ def select_idle_sibling(sched: "CfsScheduler", thread: "SimThread",
     return find_idlest_cpu(sched, sorted(allowed))
 
 
-def find_idlest_cpu(sched: "CfsScheduler", allowed: Iterable[int]) -> int:
+def find_idlest_cpu(sched: "CfsScheduler", allowed: Sequence[int]) -> int:
     """The slow path: the allowed CPU with the smallest load, breaking
     ties by queued-thread count (fresh forks all have zero PELT load,
     so pure load comparison would pile them onto one CPU)."""
-    best = None
-    best_key = None
-    for cpu in allowed:
-        core = sched.machine.cores[cpu]
-        key = (sched.cpu_load(cpu), sched.nr_runnable(core), cpu)
-        if best_key is None or key < best_key:
-            best, best_key = cpu, key
-    return best if best is not None else 0
+    loads = sched.loads_for(allowed)
+    rqs = sched.root_group.cfs_rqs
+    best = min(((loads[cpu], rqs[cpu].h_nr_running, cpu)
+                for cpu in allowed), default=None)
+    return best[2] if best is not None else 0

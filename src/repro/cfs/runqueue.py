@@ -51,7 +51,8 @@ class CfsRq:
                  owner_entity: Optional[SchedEntity] = None):
         self.cpu = cpu
         self.tunables = tunables
-        #: the task group whose threads this rq holds (None = root)
+        #: the task group whose threads this rq holds (None for a
+        #: standalone rq); its ``load_weight_sum`` tracks ours
         self.group = group
         #: the group entity representing this rq one level up
         self.owner_entity = owner_entity
@@ -84,6 +85,8 @@ class CfsRq:
         se.on_rq = True
         self.nr_running += 1
         self.load_weight += se.weight
+        if self.group is not None:
+            self.group.load_weight_sum += se.weight
         if se is not self.curr:
             self.tree.insert(se.key, se)
 
@@ -101,6 +104,8 @@ class CfsRq:
         se.on_rq = False
         self.nr_running -= 1
         self.load_weight -= se.weight
+        if self.group is not None:
+            self.group.load_weight_sum -= se.weight
         self.update_min_vruntime()
 
     def reweight_entity(self, se: SchedEntity, new_weight: int) -> None:
@@ -108,6 +113,8 @@ class CfsRq:
         CfsRq._gen += 1
         if se.on_rq:
             self.load_weight += new_weight - se.weight
+            if self.group is not None:
+                self.group.load_weight_sum += new_weight - se.weight
         if se.on_rq and se is not self.curr:
             self.tree.remove(se.key)
             se.weight = new_weight

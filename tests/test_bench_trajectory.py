@@ -1,9 +1,12 @@
 """The bench trajectory recorder (benchmarks/check_bench.py):
-entry shape, same-sha replacement, and corrupt-file recovery."""
+entry shape, same-sha replacement, corrupt-file recovery, and the
+dirty-tree key."""
 
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -115,3 +118,55 @@ def test_git_sha_fallback(check_bench, monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "HERE", "/nonexistent-dir")
     assert module._git_sha() == "unknown"
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A fresh one-commit git repository holding a benchmarks/ dir,
+    with check_bench pointed at it (the sha is not pinned)."""
+    if shutil.which("git") is None:
+        pytest.skip("git not installed")
+    bench = tmp_path / "benchmarks"
+    bench.mkdir()
+    (tmp_path / "code.py").write_text("x = 1\n")
+    (bench / "BENCH_trajectory.json").write_text("[]\n")
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example",
+                "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"],
+                 [*identity, "commit", "-q", "-m", "init"]):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True,
+                       capture_output=True)
+    spec = importlib.util.spec_from_file_location("check_bench_git",
+                                                  _CHECK_BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "HERE", str(bench))
+    monkeypatch.setattr(module, "TRAJECTORY",
+                        str(bench / "BENCH_trajectory.json"))
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          check=True).stdout.strip()
+    return module, tmp_path, head
+
+
+def test_clean_tree_keys_by_head(repo):
+    module, _root, head = repo
+    assert module._git_sha() == head
+    # recording an entry dirties only the trajectory file itself,
+    # which must not change the key of the next run
+    module.append_trajectory(_current({"a": 1.0}))
+    assert module._git_sha() == head
+
+
+def test_dirty_tree_key_hashes_the_diff(repo):
+    module, root, head = repo
+    (root / "code.py").write_text("x = 2\n")
+    first = module._git_sha()
+    assert first.startswith(head + "+")
+    assert len(first) == len(head) + 9
+    assert module._git_sha() == first  # stable for the same diff
+    (root / "code.py").write_text("x = 3\n")
+    assert module._git_sha() not in (head, first)
+    (root / "code.py").write_text("x = 1\n")
+    (root / "new.py").write_text("y = 1\n")  # untracked counts too
+    assert module._git_sha().startswith(head + "+")

@@ -7,6 +7,8 @@ from repro.core import Engine, Run, Sleep, ThreadSpec, run_forever
 from repro.core.clock import msec, sec, usec
 from repro.core.topology import opteron_6172, smp
 from repro.sched import scheduler_factory
+from repro.tracing.digest import schedule_digest
+from repro.workloads import SpinnerWorkload
 
 
 def spin(ctx):
@@ -130,3 +132,93 @@ def test_newidle_pull_happens_immediately():
     counts = [eng.nr_runnable_on(i) for i in range(2)]
     assert counts == [1, 1]
     assert eng.metrics.counter("cfs.newidle_calls") > 0
+
+
+def _spinner_engine(per_cpu, until):
+    """Two cpus, ``per_cpu[i]`` spinners pinned to cpu i, run to
+    ``until``."""
+    eng = make_engine(ncpus=2)
+    threads = []
+    for cpu, count in enumerate(per_cpu):
+        threads += pinned_spinners(eng, count, cpu)
+    eng.run(until=until)
+    return eng, threads
+
+
+def _fold_calls(sched, monkeypatch):
+    """Record the cpu sets ``sched.loads_for`` is asked to fold."""
+    calls = []
+    real = sched.loads_for
+
+    def recording(cpus):
+        calls.append(frozenset(cpus))
+        return real(cpus)
+
+    monkeypatch.setattr(sched, "loads_for", recording)
+    return calls
+
+
+def test_weight_bound_skips_balanced_pass(monkeypatch):
+    """2 vs 2 saturated spinners: the remote cpu's runnable weight
+    (2048) cannot clear the 117% gate against the local load, so the
+    pass returns before folding the remote cpu."""
+    eng, _ = _spinner_engine((2, 2), msec(300))
+    sched = eng.scheduler
+    core = eng.machine.cores[0]
+    domain = sched.cpurq(core).domains[0]
+    domain.nr_balance_failed = 3
+    calls = _fold_calls(sched, monkeypatch)
+    assert load_balance(sched, core, domain, idle=False) == 0
+    assert domain.nr_balance_failed == 0
+    assert calls == [frozenset({0})]
+
+
+def test_weight_bound_falls_through_during_ramp_up(monkeypatch):
+    """5 ms after spawn PELT is still ramping: the remote weight (one
+    nice-0 task, 1024) clears the bound against the local load of
+    ~210, so the span is folded, and the exact loads (~105 vs ~210)
+    then show nothing to move."""
+    eng, _ = _spinner_engine((2, 1), msec(5))
+    sched = eng.scheduler
+    core = eng.machine.cores[0]
+    domain = sched.cpurq(core).domains[0]
+    domain.nr_balance_failed = 3
+    calls = _fold_calls(sched, monkeypatch)
+    assert load_balance(sched, core, domain, idle=False) == 0
+    assert domain.nr_balance_failed == 0
+    assert calls == [frozenset({0}), domain.span]
+    assert sched.cpu_load(1) < sched.cpu_load(0)
+
+
+def test_imbalanced_pass_migrates_as_before():
+    """4 vs 1 spinners, unpinned: cpu1's pass pulls exactly one task
+    (p0-0), the same move the pass made before the bound existed."""
+    eng, threads = _spinner_engine((4, 1), msec(200))
+    for thread in threads:
+        eng.set_affinity(thread, None)
+    sched = eng.scheduler
+    core = eng.machine.cores[1]
+    domain = sched.cpurq(core).domains[0]
+    assert load_balance(sched, core, domain, idle=False) == 1
+    assert domain.nr_balance_failed == 0
+    assert [eng.nr_runnable_on(c) for c in range(2)] == [3, 2]
+    assert sorted(t.name for t in sched.runnable_threads(core)) == \
+        ["p0-0", "p1-0"]
+
+
+def test_numa128_release_digest_pinned():
+    """128 cores in 4 NUMA nodes: 256 spinners pinned to cpu 0, every
+    7th reniced to +5 and all unpinned at 50 ms.  Hundreds of
+    migrations across both domain levels, so any change to which
+    passes move what shows in the digest."""
+    eng = Engine(smp(128, cpus_per_llc=8, numa_nodes=4),
+                 scheduler_factory("cfs"), seed=3)
+    SpinnerWorkload(count=256, pin_cpu=0, unpin_at=msec(50)).launch(
+        eng, at=0)
+    eng.run(until=msec(50))
+    for i, thread in enumerate(eng.threads):
+        if i % 7 == 0:
+            eng.set_nice(thread, 5)
+    eng.run(until=msec(400))
+    assert eng.metrics.counter("cfs.balance_migrations") == 654
+    assert schedule_digest(eng) == "f19f091fb0a1f80d"

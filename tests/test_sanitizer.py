@@ -157,6 +157,51 @@ def test_catches_cfs_min_vruntime_regression():
     assert "backwards" in str(exc_info.value)
 
 
+def test_catches_cfs_runnable_weight_corruption():
+    """The balancer's no-op proof bounds each cpu's load by this
+    counter; a drifted counter must not go unnoticed."""
+    engine = make_engine("cfs")
+    churn(engine)
+
+    def corrupt():
+        engine.scheduler.runnable_weight[1] += 1
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(5))
+    err = exc_info.value
+    assert err.invariant == "cfs-task-weight"
+    assert err.cpu == 1
+
+
+def test_catches_cfs_group_weight_corruption():
+    engine = make_engine("cfs")
+    churn(engine)
+
+    def corrupt():
+        engine.scheduler.root_group.load_weight_sum -= 1
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(5))
+    assert exc_info.value.invariant == "cfs-group-weight"
+
+
+def test_pelt_upper_bound_is_exact():
+    """One ulp above 1.0 is already a violation: the weight bound
+    needs ``util_avg <= 1`` with no slack."""
+    engine = make_engine("cfs")
+    threads = churn(engine)
+
+    def corrupt():
+        threads[0].policy.se.avg.util_avg = 1.0 + 2.0 ** -52
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(5))
+    assert exc_info.value.invariant == "pelt-range"
+
+
 # ----------------------------------------------------------------------
 # bug injection: double enqueue / two runqueues
 # ----------------------------------------------------------------------
