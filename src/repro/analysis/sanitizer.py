@@ -21,7 +21,8 @@ scheduler invariants after *every* dispatched event:
 * **ULE** — ``tdq.load`` equal to queued threads plus the running one,
   never negative; the ``_nr_loaded`` steal-threshold counter exact;
   the running thread never also marked queued; per-queue bitmap
-  invariants; interactivity history never negative.
+  invariants; interactivity history never negative; every queued
+  thread's priority current for its history and nice.
 
 A violation raises :class:`~repro.core.errors.SanitizerError` with the
 event/time/core context and the last N trace records.  The sanitizer
@@ -35,6 +36,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..core.errors import SanitizerError
+from ..ule.priority import compute_priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import Engine
@@ -431,6 +433,15 @@ class Sanitizer:
                                f"cpu{cpu} {thread.name} interactivity "
                                f"history negative (r={hist.runtime}, "
                                f"s={hist.sleeptime})", cpu=cpu)
+                # a queued thread's history cannot change, so a stale
+                # priority here was left by a skipped recompute
+                want = compute_priority(ule.tunables, hist, thread.nice)
+                if (state.priority, state.interactive) != want:
+                    self._fail("ule-priority-current",
+                               f"cpu{cpu} {thread.name} queued with "
+                               f"(priority, interactive)="
+                               f"{(state.priority, state.interactive)} "
+                               f"but its history gives {want}", cpu=cpu)
             try:
                 tdq.realtime.check_invariants()
                 tdq.timeshare.check_invariants()

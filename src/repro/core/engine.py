@@ -113,8 +113,6 @@ class Engine:
         self._nr_stopped_ticks = 0
         self.random = RandomSource(seed)
         self.metrics = MetricRegistry()
-        #: lazily bound ``engine.run_delay`` recorder (hot in _switch_to)
-        self._run_delay = None
         self.tracer = Tracer()
         self.machine = Machine(self, topology, corun_slowdown=corun_slowdown)
         self.threads: list[SimThread] = []
@@ -188,7 +186,6 @@ class Engine:
         self._nr_stopped_ticks = 0
         self.random = RandomSource(seed)
         self.metrics = MetricRegistry()
-        self._run_delay = None
         self.tracer = Tracer()
         self.machine.nr_offline = 0
         for core in self.machine.cores:
@@ -670,13 +667,7 @@ class Engine:
             nxt.cpu = core.index
             nxt.nr_switches += 1
             if nxt.wait_start is not None:
-                wait = self.now - nxt.wait_start
-                nxt.total_waittime += wait
-                recorder = self._run_delay
-                if recorder is None:
-                    recorder = self._run_delay = \
-                        self.metrics.latency("engine.run_delay")
-                recorder.samples.append(wait)
+                nxt.total_waittime += self.now - nxt.wait_start
                 nxt.wait_start = None
         core.curr_started_at = self.now
         core._curr_account_start = self.now

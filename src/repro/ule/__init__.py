@@ -5,7 +5,7 @@ interactivity penalty, count-based load balancing, and idle stealing."""
 from .core import UleScheduler, UleThreadState
 from .interactivity import SleepRunHistory
 from .params import UleTunables
-from .priority import batch_priority, compute_priority, interactive_priority
+from .priority import compute_priority
 from .runq import RunQueue
 from .tdq import Tdq
 
@@ -17,6 +17,4 @@ __all__ = [
     "RunQueue",
     "Tdq",
     "compute_priority",
-    "interactive_priority",
-    "batch_priority",
 ]

@@ -43,13 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UleThreadState:
     """Per-thread ULE state (``td_sched``), hangs off ``thread.policy``."""
 
-    __slots__ = ("hist", "priority", "interactive", "queued",
-                 "queued_interactive", "queued_priority", "ticks_used")
+    __slots__ = ("hist", "priority", "interactive", "prio_inputs",
+                 "queued", "queued_interactive", "queued_priority",
+                 "ticks_used")
 
     def __init__(self, hist: SleepRunHistory):
         self.hist = hist
         self.priority = 0
         self.interactive = True
+        #: the ``(runtime, sleeptime, nice)`` that ``priority`` and
+        #: ``interactive`` were computed from; every compute site sets
+        #: it, so ``pick_next`` and ``enqueue_task`` skip the recompute
+        #: when the inputs are unchanged
+        self.prio_inputs: Optional[tuple] = None
         self.queued = False
         self.queued_interactive = True
         self.queued_priority = 0
@@ -185,8 +191,10 @@ class UleScheduler(SchedClass):
 
     def _update_priority(self, thread: "SimThread") -> None:
         state = self.state_of(thread)
+        hist = state.hist
         state.priority, state.interactive = compute_priority(
-            self.tunables, state.hist, thread.nice)
+            self.tunables, hist, thread.nice)
+        state.prio_inputs = hist.runtime, hist.sleeptime, thread.nice
 
     def _update_priority_queued(self, thread: "SimThread") -> None:
         """Recompute priority, requeueing if the thread sits in a FIFO."""
@@ -205,10 +213,15 @@ class UleScheduler(SchedClass):
 
     def enqueue_task(self, core: "Core", thread: "SimThread",
                      flags: EnqueueFlags) -> None:
-        # _update_priority inlined (every wakeup/migration lands here)
+        # _update_priority inlined (every wakeup/migration lands here);
+        # a migrated or just-forked thread keeps its current priority
         state = thread.policy
-        state.priority, state.interactive = compute_priority(
-            self.tunables, state.hist, thread.nice)
+        hist = state.hist
+        inputs = hist.runtime, hist.sleeptime, thread.nice
+        if inputs != state.prio_inputs:
+            state.priority, state.interactive = compute_priority(
+                self.tunables, hist, thread.nice)
+            state.prio_inputs = inputs
         tdq: Tdq = core.rq
         tdq.add(thread)
         tdq.load += 1
@@ -234,11 +247,17 @@ class UleScheduler(SchedClass):
         prev = core.current
         if prev is not None and prev.state is ThreadState.RUNNING:
             # Put the incumbent back at the tail of its FIFO with a
-            # freshly computed priority (sched_switch; is_running and
+            # current priority (sched_switch; is_running and
             # _update_priority inlined — this runs on every pick).
+            # After a tick-driven resched its history is what the tick
+            # just scored, so the tick's priority is reused.
             state = prev.policy
-            state.priority, state.interactive = compute_priority(
-                self.tunables, state.hist, prev.nice)
+            hist = state.hist
+            inputs = hist.runtime, hist.sleeptime, prev.nice
+            if inputs != state.prio_inputs:
+                state.priority, state.interactive = compute_priority(
+                    self.tunables, hist, prev.nice)
+                state.prio_inputs = inputs
             tdq.add(prev)
         else:
             prev = None
@@ -280,9 +299,12 @@ class UleScheduler(SchedClass):
         # sched_clock compares the used ticks against the *current*
         # load-adjusted slice, so the effective slice shrinks the
         # moment more threads become runnable.
-        if state.ticks_used < self.tunables.slice_for_load(tdq.load):
+        slices = self.tunables.slice_table
+        top = len(slices) - 1
+        load = tdq.load
+        if state.ticks_used < slices[load if load < top else top]:
             return
-        if tdq.nr_queued() > 0:
+        if tdq.realtime.count or tdq.timeshare.count:
             core.need_resched = True
         else:
             # Alone on the core: keep running, restart the slice.
@@ -324,7 +346,8 @@ class UleScheduler(SchedClass):
         events = engine.events
         tick_ns = self.tick_ns
         tun = self.tunables
-        slice_for_load = tun.slice_for_load
+        slices = tun.slice_table
+        top = len(slices) - 1
         calendar = self._calendar
         tdq: Tdq = core.rq
 
@@ -365,14 +388,17 @@ class UleScheduler(SchedClass):
                 # -- update_curr, inlined --
                 state.hist.add_runtime(delta)
             # -- task_tick, inlined (sched_clock) --
+            hist = state.hist
             state.priority, state.interactive = compute_priority(
-                tun, state.hist, curr.nice)
+                tun, hist, curr.nice)
+            state.prio_inputs = hist.runtime, hist.sleeptime, curr.nice
             if calendar:
                 tdq.timeshare.advance()
             ticks_used = state.ticks_used + 1
             state.ticks_used = ticks_used
-            if ticks_used >= slice_for_load(tdq.load):
-                if tdq.nr_queued() > 0:
+            load = tdq.load
+            if ticks_used >= slices[load if load < top else top]:
+                if tdq.realtime.count or tdq.timeshare.count:
                     core.need_resched = True
                 else:
                     # alone on the core: keep running, restart slice

@@ -73,6 +73,14 @@ class UleTunables:
     #: batch priorities occupy [batch_prio_min, nqueues - 1]
     batch_prio_min: int = 30
 
+    def __post_init__(self) -> None:
+        #: :meth:`slice_for_load` by load, for the stathz tick to index
+        #: without a call; every load past the end gets the last entry,
+        #: ``slice_min_ticks`` (a ticking core has load >= 1)
+        top = max(self.slice_ticks, self.slice_threshold) + 1
+        self.slice_table = (self.slice_ticks,) + tuple(
+            self.slice_for_load(load) for load in range(1, top + 1))
+
     @property
     def slice_ns(self) -> int:
         return self.slice_ticks * self.tick_ns

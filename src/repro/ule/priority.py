@@ -20,29 +20,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .params import UleTunables
 
 
-def interactive_priority(tun: "UleTunables", score: int) -> int:
-    """Map a score in [0, interact_thresh] onto the interactive band."""
-    score = max(0, min(score, tun.interact_thresh))
-    return score * tun.interact_prio_max // tun.interact_thresh
+def compute_priority(tun: "UleTunables", hist: "SleepRunHistory",
+                     nice: int) -> tuple[int, bool]:
+    """Return ``(priority, is_interactive)`` for a thread.
 
-
-def batch_priority(tun: "UleTunables", hist: "SleepRunHistory",
-                   nice: int) -> int:
-    """Map recent CPU usage plus nice onto the batch band."""
+    One call-free body (it runs on every tick and enqueue): the score
+    is ``SleepRunHistory.score`` and the batch usage is its
+    ``cpu_share``, with the same float expressions, so the result is
+    bit-identical to composing those methods.
+    """
+    r = hist.runtime
+    s = hist.sleeptime
+    m = tun.interact_half
+    if s > r:
+        score = int(m * (r / s)) + nice
+    elif s:
+        score = int(2 * m - m * (s / r)) + nice
+    elif r:
+        score = 2 * m + nice
+    else:
+        score = nice
+    if score < 0:
+        score = 0
+    if score <= tun.interact_thresh:
+        return score * tun.interact_prio_max // tun.interact_thresh, True
+    # Usage claims the first ~60% of the batch band, nice the rest.
     lo = tun.batch_prio_min
     hi = tun.nqueues - 1
     span = hi - lo
-    # Usage claims the first ~60% of the band, nice the rest.
     usage_span = (span * 3) // 5
-    usage = int(hist.cpu_share() * usage_span)
-    nice_off = (nice + 20) * (span - usage_span) // 40
-    return max(lo, min(hi, lo + usage + nice_off))
-
-
-def compute_priority(tun: "UleTunables", hist: "SleepRunHistory",
-                     nice: int) -> tuple[int, bool]:
-    """Return ``(priority, is_interactive)`` for a thread."""
-    score = hist.score(nice)
-    if score <= tun.interact_thresh:
-        return interactive_priority(tun, score), True
-    return batch_priority(tun, hist, nice), False
+    total = r + s
+    usage = int(r / total * usage_span) if total else 0
+    pri = lo + usage + (nice + 20) * (span - usage_span) // 40
+    if pri > hi:
+        pri = hi
+    if pri < lo:
+        pri = lo
+    return pri, False

@@ -20,19 +20,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RunQueue:
     """Priority-indexed FIFOs with an occupancy bitmap."""
 
-    __slots__ = ("nqueues", "_queues", "_bitmap", "_count")
+    __slots__ = ("nqueues", "_queues", "_bitmap", "count")
 
     def __init__(self, nqueues: int = 64):
         self.nqueues = nqueues
         self._queues: list[deque] = [deque() for _ in range(nqueues)]
         self._bitmap = 0
-        self._count = 0
+        #: queued threads (read directly on the tick path)
+        self.count = 0
 
     def __len__(self) -> int:
-        return self._count
+        return self.count
 
     def __bool__(self) -> bool:
-        return self._count > 0
+        return self.count > 0
 
     def add(self, thread: "SimThread", priority: int,
             at_head: bool = False) -> None:
@@ -46,7 +47,7 @@ class RunQueue:
         else:
             queue.append(thread)
         self._bitmap |= 1 << priority
-        self._count += 1
+        self.count += 1
 
     def remove(self, thread: "SimThread", priority: int) -> None:
         """Remove ``thread`` from the FIFO of ``priority``."""
@@ -58,7 +59,7 @@ class RunQueue:
                 f"{thread} not queued at priority {priority}") from None
         if not queue:
             self._bitmap &= ~(1 << priority)
-        self._count -= 1
+        self.count -= 1
 
     def first_priority(self) -> Optional[int]:
         """Lowest occupied priority index (best), or None when empty."""
@@ -75,7 +76,7 @@ class RunQueue:
         thread = queue.popleft()
         if not queue:
             self._bitmap &= ~(1 << pri)
-        self._count -= 1
+        self.count -= 1
         return thread
 
     def peek(self) -> Optional["SimThread"]:
@@ -115,7 +116,7 @@ class RunQueue:
             bit = bool(self._bitmap & (1 << pri))
             assert bit == bool(queue), f"bitmap wrong at {pri}"
             count += len(queue)
-        assert count == self._count
+        assert count == self.count
 
 
 class CalendarRunQueue:
@@ -133,13 +134,14 @@ class CalendarRunQueue:
     interactive queue can still starve the whole batch class.)
     """
 
-    __slots__ = ("nbuckets", "_buckets", "_count", "insert_idx",
+    __slots__ = ("nbuckets", "_buckets", "count", "insert_idx",
                  "remove_idx", "_bucket_of", "_bitmap", "_mask")
 
     def __init__(self, nbuckets: int = 64):
         self.nbuckets = nbuckets
         self._buckets: list[deque] = [deque() for _ in range(nbuckets)]
-        self._count = 0
+        #: queued threads (read directly on the tick path)
+        self.count = 0
         #: rotating insertion origin (advanced by the tick)
         self.insert_idx = 0
         #: rotating removal index
@@ -153,7 +155,7 @@ class CalendarRunQueue:
 
     def _first_occupied(self) -> int:
         """Index of the first occupied bucket at or after
-        ``remove_idx`` (circularly); caller guarantees ``_count > 0``."""
+        ``remove_idx`` (circularly); caller guarantees ``count > 0``."""
         r = self.remove_idx
         rotated = ((self._bitmap >> r)
                    | (self._bitmap << (self.nbuckets - r))) & self._mask
@@ -161,10 +163,10 @@ class CalendarRunQueue:
         return (r + distance) % self.nbuckets
 
     def __len__(self) -> int:
-        return self._count
+        return self.count
 
     def __bool__(self) -> bool:
-        return self._count > 0
+        return self.count > 0
 
     def add(self, thread: "SimThread", priority: int,
             at_head: bool = False) -> None:
@@ -181,7 +183,7 @@ class CalendarRunQueue:
             self._buckets[bucket].append(thread)
         self._bucket_of[thread.tid] = bucket
         self._bitmap |= 1 << bucket
-        self._count += 1
+        self.count += 1
 
     def remove(self, thread: "SimThread",
                priority: int = -1) -> None:
@@ -194,7 +196,7 @@ class CalendarRunQueue:
         queue.remove(thread)
         if not queue:
             self._bitmap &= ~(1 << bucket)
-        self._count -= 1
+        self.count -= 1
 
     def choose(self) -> Optional["SimThread"]:
         """Pop from the removal index, advancing it across empty
@@ -203,7 +205,7 @@ class CalendarRunQueue:
         The bitmap jump lands on exactly the bucket the one-step walk
         would have stopped at, and leaves ``remove_idx`` there — the
         same state the walk produces."""
-        if self._count == 0:
+        if self.count == 0:
             return None
         idx = self._first_occupied()
         self.remove_idx = idx
@@ -212,19 +214,19 @@ class CalendarRunQueue:
         self._bucket_of.pop(thread.tid, None)
         if not bucket:
             self._bitmap &= ~(1 << idx)
-        self._count -= 1
+        self.count -= 1
         return thread
 
     def peek(self) -> Optional["SimThread"]:
         """Next thread the calendar would pop, without removing it."""
-        if self._count == 0:
+        if self.count == 0:
             return None
         return self._buckets[self._first_occupied()][0]
 
     def first_priority(self) -> Optional[int]:
         """Distance of the first occupied bucket from the removal
         index — the calendar's notion of 'best'."""
-        if self._count == 0:
+        if self.count == 0:
             return None
         return (self._first_occupied()
                 - self.remove_idx) % self.nbuckets
@@ -246,7 +248,7 @@ class CalendarRunQueue:
         :meth:`threads` order (see ``RunQueue.first_allowed``); stops
         once every queued thread has been seen instead of walking all
         the empty buckets."""
-        if self._count == 0:
+        if self.count == 0:
             return None
         r = self.remove_idx
         nbuckets = self.nbuckets
@@ -271,4 +273,4 @@ class CalendarRunQueue:
             assert bool(self._bitmap & (1 << i)) == bool(bucket), \
                 f"bitmap wrong at {i}"
             count += len(bucket)
-        assert count == self._count == len(self._bucket_of)
+        assert count == self.count == len(self._bucket_of)

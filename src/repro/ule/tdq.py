@@ -73,11 +73,13 @@ class Tdq:
     def choose(self) -> Optional["SimThread"]:
         """Pop the best thread: interactive queue first, then batch —
         the search order that starves batch threads (§2.2, §5)."""
-        thread = self.realtime.choose()
-        if thread is None:
+        if self.realtime.count:
+            thread = self.realtime.choose()
+        elif self.timeshare.count:
             thread = self.timeshare.choose()
-        if thread is not None:
-            thread.policy.queued = False
+        else:
+            return None
+        thread.policy.queued = False
         return thread
 
     # ------------------------------------------------------------------
@@ -86,7 +88,7 @@ class Tdq:
 
     def nr_queued(self) -> int:
         """Threads sitting in the FIFOs (the running one excluded)."""
-        return len(self.realtime) + len(self.timeshare)
+        return self.realtime.count + self.timeshare.count
 
     def lowest_priority(self) -> int:
         """The best (numerically lowest) priority present, counting the

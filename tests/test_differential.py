@@ -154,6 +154,15 @@ def _corrupt_ule_classification(engine):
             t.policy.interactive = not t.policy.interactive
 
 
+def _corrupt_ule_running_classification(engine):
+    # only the running threads: the sanitizer checks queued threads'
+    # priorities, so these are left for the oracle to catch before
+    # the next tick recomputes them
+    for t in engine.threads:
+        if t.is_running:
+            t.policy.interactive = not t.policy.interactive
+
+
 def _fair(engine):
     sched = engine.scheduler
     return getattr(sched, "fair", sched)
@@ -218,8 +227,12 @@ BUG_CLASSES = [
     ("ule-negative-load", "ule", _corrupt_ule_negative_load,
      {"sanitizer"}),
     ("ule-nr-loaded", "ule", _corrupt_ule_nr_loaded, {"sanitizer"}),
+    # queued threads' flipped flags trip the sanitizer's
+    # ule-priority-current check at the next event
     ("ule-classification", "ule", _corrupt_ule_classification,
-     {"ule-classification"}),
+     {"ule-classification", "sanitizer"}),
+    ("ule-running-classification", "ule",
+     _corrupt_ule_running_classification, {"ule-classification"}),
     ("cfs-nr-running", "cfs", _corrupt_cfs_nr_running, {"sanitizer"}),
     ("cfs-min-vruntime", "cfs", _corrupt_cfs_min_vruntime,
      {"sanitizer"}),

@@ -17,6 +17,7 @@ from repro.core.topology import single_core, smp
 from repro.experiments.base import make_engine as make_exp_engine
 from repro.experiments.fig5_single_core_perf import run_app
 from repro.sched import scheduler_factory
+from repro.workloads import SpinnerWorkload
 from tests.conftest import SCHEDULERS as SMOKE_SCHEDULERS
 from tests.conftest import build_engine, churn, inject
 
@@ -122,6 +123,28 @@ def test_catches_ule_nr_loaded_corruption():
     with pytest.raises(SanitizerError) as exc_info:
         engine.run(until=msec(5))
     assert exc_info.value.invariant in ("ule-nr-loaded", "ule-load")
+
+
+def test_catches_stale_ule_priority():
+    engine = make_engine("ule", ncpus=1)
+    SpinnerWorkload(count=3, pin_cpu=None).launch(engine, at=0)
+    corrupted = []
+
+    def corrupt():
+        # a recompute skipped although the inputs changed would leave
+        # exactly this: a queued thread whose priority is not its
+        # history's
+        thread = next(engine.machine.cores[0].rq.queued_threads())
+        thread.policy.priority += 1
+        corrupted.append(thread.name)
+
+    inject(engine, msec(20), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(100))
+    err = exc_info.value
+    assert err.invariant == "ule-priority-current"
+    assert err.time_ns == msec(20)
+    assert corrupted[0] in str(err)
 
 
 def test_catches_cfs_nr_running_corruption():

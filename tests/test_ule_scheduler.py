@@ -273,3 +273,38 @@ def test_ule_runs_threads_to_completion_multicore():
     reason = eng.run(until=sec(10))
     assert reason == "all-exited"
     assert all(t.total_runtime == msec(100) for t in ts)
+
+
+def test_one_priority_computation_per_tick_driven_switch(monkeypatch):
+    """16 spinners on one core switch on nearly every stathz tick.  The
+    tick scores the outgoing thread, and the requeue in pick_next
+    reuses that score (its history has not moved since), so ULE
+    computes at most one priority per tick plus one per enqueue."""
+    import repro.ule.core as ule_core
+    from repro.tracing.digest import schedule_digest
+    from repro.ule.core import UleScheduler
+    from repro.workloads import SpinnerWorkload
+
+    calls = {"priority": 0, "enqueue": 0}
+    compute = ule_core.compute_priority
+    enqueue = UleScheduler.enqueue_task
+
+    def counting_compute(*args):
+        calls["priority"] += 1
+        return compute(*args)
+
+    def counting_enqueue(self, *args):
+        calls["enqueue"] += 1
+        return enqueue(self, *args)
+
+    monkeypatch.setattr(ule_core, "compute_priority", counting_compute)
+    monkeypatch.setattr(UleScheduler, "enqueue_task", counting_enqueue)
+    eng = make_engine()
+    SpinnerWorkload(count=16, pin_cpu=None).launch(eng, at=0)
+    ticks = 2000
+    assert eng.run(until=ticks * eng.scheduler.tick_ns) == "deadline"
+    assert eng.metrics.counters["engine.switches"] >= ticks
+    assert calls["enqueue"] == 16
+    assert calls["priority"] <= ticks + calls["enqueue"]
+    # the schedule is the one recorded before the skip existed
+    assert schedule_digest(eng) == "2430503f0aec534c"

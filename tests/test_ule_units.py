@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.core.clock import msec, sec
 from repro.ule.interactivity import SleepRunHistory
 from repro.ule.params import UleTunables
-from repro.ule.priority import (batch_priority, compute_priority,
-                                interactive_priority)
+from repro.ule.priority import compute_priority
 from repro.ule.runq import RunQueue
 
 
@@ -202,26 +201,96 @@ def test_property_history_window_bounded(steps):
 # ------------------------------------------------------------ priority
 
 def test_interactive_priority_interpolation():
-    assert interactive_priority(TUN, 0) == 0
-    assert interactive_priority(TUN, TUN.interact_thresh) == \
-        TUN.interact_prio_max
-    # monotone
-    pris = [interactive_priority(TUN, s) for s in range(31)]
-    assert pris == sorted(pris)
+    # a never-run thread has penalty 0, so nice alone sweeps the score
+    never_ran = SleepRunHistory(TUN, runtime=0, sleeptime=sec(1))
+    assert compute_priority(TUN, never_ran, 0) == (0, True)
+    pris = []
+    for nice in range(20):
+        pri, interactive = compute_priority(TUN, never_ran, nice)
+        assert interactive
+        pris.append(pri)
+    assert pris == sorted(pris)  # monotone
+    # penalty 20 + nice 10 sits on the threshold: the band's worst
+    at_thresh = SleepRunHistory(TUN, runtime=2, sleeptime=5)
+    assert at_thresh.score(10) == TUN.interact_thresh
+    assert compute_priority(TUN, at_thresh, 10) == \
+        (TUN.interact_prio_max, True)
 
 
 def test_batch_priority_rises_with_usage():
     lazy = SleepRunHistory(TUN, runtime=msec(400), sleeptime=msec(100))
     hog = SleepRunHistory(TUN, runtime=sec(4), sleeptime=0)
-    assert batch_priority(TUN, hog, 0) > batch_priority(TUN, lazy, 0)
+    lazy_pri, lazy_interactive = compute_priority(TUN, lazy, 0)
+    hog_pri, hog_interactive = compute_priority(TUN, hog, 0)
+    assert not lazy_interactive and not hog_interactive
+    assert hog_pri > lazy_pri
 
 
 def test_batch_priority_in_band():
-    for run, sleep, nice in [(0, 0, -20), (sec(5), 0, 19),
-                             (sec(1), sec(1), 0)]:
+    for run, sleep in [(sec(5), 0), (sec(1), sec(1)), (sec(2), sec(1))]:
         hist = SleepRunHistory(TUN, runtime=run, sleeptime=sleep)
-        pri = batch_priority(TUN, hist, nice)
-        assert TUN.batch_prio_min <= pri <= TUN.nqueues - 1
+        for nice in range(-20, 20):
+            pri, interactive = compute_priority(TUN, hist, nice)
+            if not interactive:
+                assert TUN.batch_prio_min <= pri <= TUN.nqueues - 1
+
+
+def _priority_oracle(tun, hist, nice):
+    """compute_priority composed from the SleepRunHistory methods (the
+    score and cpu_share the paper defines) and the band mappings."""
+    score = hist.score(nice)
+    if score <= tun.interact_thresh:
+        return score * tun.interact_prio_max // tun.interact_thresh, True
+    lo, hi = tun.batch_prio_min, tun.nqueues - 1
+    span = hi - lo
+    usage_span = (span * 3) // 5
+    usage = int(hist.cpu_share() * usage_span)
+    nice_off = (nice + 20) * (span - usage_span) // 40
+    return max(lo, min(hi, lo + usage + nice_off)), False
+
+
+_LIMIT = TUN.slp_run_max_ns
+#: r=0, s=0, r=s=0, equal shares, histories on either side of the
+#: decay limit and of the halving threshold, and (29, 50), where
+#: ``int(m * (r / s))`` is 28 but ``int(m * r / s)`` would be 29
+_EDGE_HISTORIES = [
+    (0, 0), (0, 1), (1, 0), (1, 1), (0, _LIMIT), (_LIMIT, 0),
+    (_LIMIT // 2, _LIMIT // 2), (_LIMIT - 1, 1), (1, _LIMIT - 1),
+    (_LIMIT // 2, _LIMIT // 2 - 1), ((_LIMIT // 5) * 6, 0),
+    ((_LIMIT // 5) * 3, (_LIMIT // 5) * 3 + 1), (2, 5), (3, 5), (29, 50),
+]
+
+
+@pytest.mark.parametrize("run,sleep", _EDGE_HISTORIES)
+def test_compute_priority_matches_oracle_at_edges(run, sleep):
+    hist = SleepRunHistory(TUN, runtime=run, sleeptime=sleep)
+    for nice in range(-20, 20):
+        assert compute_priority(TUN, hist, nice) == \
+            _priority_oracle(TUN, hist, nice), (run, sleep, nice)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 * _LIMIT), st.integers(0, 2 * _LIMIT),
+       st.integers(-20, 19))
+def test_property_compute_priority_matches_oracle(run, sleep, nice):
+    hist = SleepRunHistory(TUN, runtime=run, sleeptime=sleep)
+    assert compute_priority(TUN, hist, nice) == \
+        _priority_oracle(TUN, hist, nice)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 10**9)),
+                min_size=1, max_size=40), st.integers(-20, 19))
+def test_property_compute_priority_matches_oracle_decayed(steps, nice):
+    # histories as the decay leaves them, not only as constructed
+    hist = SleepRunHistory(TUN)
+    for ran, delta in steps:
+        if ran:
+            hist.add_runtime(delta)
+        else:
+            hist.add_sleeptime(delta)
+        assert compute_priority(TUN, hist, nice) == \
+            _priority_oracle(TUN, hist, nice)
 
 
 def test_compute_priority_classifies():
