@@ -23,8 +23,8 @@ test-all:
 	$(PYTHON) -m pytest -q -m "slow or not slow"
 
 ## schedlint: determinism/contract static analysis over src/repro/
-## at the dataflow tier (interprocedural taint, tick-hook parity,
-## cross-process atomicity), failing on any finding not recorded in
+## at the dataflow tier (interprocedural taint, cross-process
+## atomicity), failing on any finding not recorded in
 ## lint-baseline.json; writes lint-report.sarif for CI upload
 ## (exit 0 = clean, 1 = findings, 2 = usage/internal error; see
 ## docs/static-analysis.md)

@@ -12,8 +12,8 @@ readable report; ``--sarif FILE`` writes a SARIF 2.1.0 log.  Suppress
 a finding in place with ``# schedlint: ignore[rule] -- reason``.
 
 ``--dataflow`` enables the flow-aware tier (interprocedural
-determinism taint, tick-hook parity, cross-process atomicity) in
-place of the three syntactic rules it subsumes.  ``--baseline FILE``
+determinism taint, cross-process atomicity) in place of the three
+syntactic rules it subsumes.  ``--baseline FILE``
 accepts the findings recorded in the baseline and fails only on new
 ones; ``--update-baseline`` rewrites the baseline to the current
 findings instead of failing.
@@ -84,8 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rule ids")
     parser.add_argument("--dataflow", action="store_true",
-                        help="enable the flow-aware tier (taint, "
-                             "parity, atomicity rules)")
+                        help="enable the flow-aware tier (taint "
+                             "and atomicity rules)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="accept findings recorded in this "
                              "baseline; fail only on new ones")

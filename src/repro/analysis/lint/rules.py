@@ -108,9 +108,6 @@ DATAFLOW_RULES: Dict[str, str] = {
     "taint-set-order":
         "set-iteration or directory-listing order flows into a "
         "schedule-affecting sink (sorted() sanitizes it)",
-    "tickhook-parity":
-        "a fused make_tick_hook closure is missing an accounting/"
-        "parking statement from the generic Engine tick chain",
     "nonatomic-write":
         "a file write in experiments/ bypasses the tmp-write+rename "
         "idiom in repro.core.artifacts",
@@ -131,8 +128,6 @@ REPLACED_BY_DATAFLOW: Tuple[str, ...] = (
 _TAINT_RULES = ("taint-wall-clock", "taint-random", "taint-env",
                 "taint-id-order", "taint-set-order")
 _ATOMICITY_RULES = ("nonatomic-write", "cache-rmw")
-#: dataflow rules computed across the whole file set by lint_paths
-_PARITY_RULES = ("tickhook-parity",)
 
 
 def effective_rules(rules: Optional[Sequence[str]],
@@ -530,15 +525,13 @@ def lint_source(source: str, path: str = "<string>",
                 rules: Optional[Sequence[str]] = None,
                 allowlist: Optional[Dict[str, Tuple[str, ...]]] = None,
                 dataflow: bool = False,
-                extra_findings: Sequence[Finding] = (),
                 ) -> List[Finding]:
     """Lint one source string; returns surviving findings, sorted.
 
     This is the single choke point every finding flows through:
-    syntactic visitor rules, the per-file dataflow families (taint,
-    atomicity), and any project-level ``extra_findings`` the caller
-    computed for this file (parity, contract) — so suppression
-    markers, usage tracking, and the allowlist apply uniformly.
+    syntactic visitor rules and the per-file dataflow families (taint,
+    atomicity) — so suppression markers, usage tracking, and the
+    allowlist apply uniformly.
     """
     enabled = effective_rules(rules, dataflow)
     if allowlist is None:
@@ -561,7 +554,6 @@ def lint_source(source: str, path: str = "<string>",
             from .dataflow.atomicity import check_module
             findings.extend(f for f in check_module(tree, path)
                             if f.rule in enabled)
-    findings.extend(f for f in extra_findings if f.rule in enabled)
     markers = markers_in(source)
     flag_unused = dataflow and UNUSED_SUPPRESSION in enabled
     filtered = apply_markers(findings, markers, frozenset(enabled),
@@ -593,28 +585,12 @@ def lint_paths(paths: Iterable[str],
                allowlist: Optional[Dict[str, Tuple[str, ...]]] = None,
                dataflow: bool = False,
                ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``.
-
-    In the dataflow tier the parity rule runs here (it needs the
-    whole file set: the engine's generic tick chain defines the
-    contract the scheduler hooks are checked against); its findings
-    are handed to ``lint_source`` per file so suppressions apply
-    normally.
-    """
-    files: Dict[str, str] = {}
+    """Lint every ``.py`` file under ``paths``."""
+    findings: List[Finding] = []
     for filename in iter_python_files(paths):
         with open(filename, "r") as fh:
-            files[filename] = fh.read()
-    enabled = effective_rules(rules, dataflow)
-    parity_by_path: Dict[str, List[Finding]] = {}
-    if dataflow and any(r in enabled for r in _PARITY_RULES):
-        from .dataflow.parity import check_parity
-        for finding in check_parity(files):
-            parity_by_path.setdefault(finding.path, []).append(finding)
-    findings: List[Finding] = []
-    for filename, source in files.items():
+            source = fh.read()
         findings.extend(lint_source(
             source, path=filename, rules=rules, allowlist=allowlist,
-            dataflow=dataflow,
-            extra_findings=parity_by_path.get(filename, ())))
+            dataflow=dataflow))
     return sorted(findings)

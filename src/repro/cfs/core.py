@@ -31,7 +31,6 @@ from .entity import SchedEntity
 from .params import CfsTunables
 from .pelt import (HALF_LIFE_NS, _DECAY_CACHE, _DECAY_CACHE_MAX, _LN2,
                    _SATURATED)
-from .peltbank import fold_loads, fold_loads_python
 from .runqueue import CfsRq
 from .weights import calc_delta_fair, nice_to_weight
 
@@ -92,12 +91,10 @@ class CfsScheduler(SchedClass):
         #: list index is measurably cheaper than a dict probe.
         self._load_cache: list = [None] * ncpus
         self._load_cache_time = -1
-        #: cpu -> ``(avgs, weights)`` bank (None = stale): the task
-        #: ``LoadAvg`` objects in traversal order plus their weights,
-        #: valid until the cpu's runnable set (or timeline order, or a
-        #: task weight) changes; lets :meth:`cpu_load` skip the
-        #: hierarchy walk entirely and hand :func:`~repro.cfs.peltbank
-        #: .fold_loads` parallel arrays
+        #: cpu -> bank (None = stale): the runnable tasks' ``(LoadAvg,
+        #: weight)`` pairs in traversal order, valid until the cpu's
+        #: runnable set (or timeline order, or a task weight) changes;
+        #: lets :meth:`loads_for` skip the hierarchy walk entirely
         self._avgs_cache: list = [None] * ncpus
         #: cpu -> (load, min_last_update) or None: a cpu whose every
         #: runnable average sits at the saturated fixed point has a
@@ -114,11 +111,10 @@ class CfsScheduler(SchedClass):
         self.runnable_weight: list = [0] * ncpus
         #: reusable per-core balance-tick events
         self._lb_events: dict[int, object] = {}
-        #: core index -> resolved :class:`CfsCpuRq`; ``core.rq`` is
-        #: assigned once at engine init and never rebound, so the
-        #: isinstance dispatch in :meth:`cpurq` can be done exactly
-        #: once per core
-        self._cpurqs: dict[int, CfsCpuRq] = {}
+        #: cpu -> this class's :class:`CfsCpuRq`, recorded by
+        #: :meth:`init_core` (``core.rq`` itself, or ``core.rq.fair``
+        #: under a class stack)
+        self._cpurqs: list = [None] * ncpus
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -126,21 +122,14 @@ class CfsScheduler(SchedClass):
 
     def init_core(self, core: "Core") -> CfsCpuRq:
         domains = build_domains(core.index, self.topology, self.tunables)
-        return CfsCpuRq(self.root_group.rq_on(core.index), domains)
+        cpurq = CfsCpuRq(self.root_group.rq_on(core.index), domains)
+        self._cpurqs[core.index] = cpurq
+        return cpurq
 
     def cpurq(self, core: "Core") -> CfsCpuRq:
         """This class's per-CPU state — ``core.rq`` when CFS runs
-        standalone, ``core.rq.fair`` under a class stack.  Memoized per
-        core (``core.rq`` is never rebound after engine init)."""
-        cached = self._cpurqs.get(core.index)
-        if cached is not None:
-            return cached
-        rq = core.rq
-        if rq is None:
-            raise SchedulerError(f"cpu{core.index} has no runqueue yet")
-        resolved = rq if isinstance(rq, CfsCpuRq) else rq.fair
-        self._cpurqs[core.index] = resolved
-        return resolved
+        standalone, ``core.rq.fair`` under a class stack."""
+        return self._cpurqs[core.index]
 
     def start(self) -> None:
         if self._started:
@@ -353,13 +342,14 @@ class CfsScheduler(SchedClass):
 
     def update_curr(self, core: "Core", thread: "SimThread",
                     delta_ns: int) -> None:
-        for rq in self.cpurq(core).curr_chain:
+        # cpurq and state_of inlined: runs on every accounting point
+        for rq in self._cpurqs[core.index].curr_chain:
             rq.update_curr(delta_ns)
-        self.state_of(thread).se.avg.update(self.engine.now, True)
+        thread.policy.se.avg.update(self.engine.now, True)
 
     def task_tick(self, core: "Core") -> None:
         min_gran = self.tunables.min_granularity_ns
-        for rq in reversed(self.cpurq(core).curr_chain):
+        for rq in reversed(self._cpurqs[core.index].curr_chain):
             se = rq.curr
             if se is None:
                 continue
@@ -383,84 +373,6 @@ class CfsScheduler(SchedClass):
         # balancing runs from its own event chain, which keeps firing
         # on parked cores as a nohz kick (see _balance_tick).
         return not core.is_idle
-
-    def make_tick_hook(self, core: "Core"):
-        """Fused CFS tick (see ``SchedClass.make_tick_hook``).
-
-        Inlines ``Engine._tick`` → ``Engine._update_curr`` →
-        :meth:`update_curr` → :meth:`task_tick` into one closure over
-        per-core state.  Every statement mirrors the generic chain
-        line-for-line (same order, same arithmetic), so the schedule
-        is bit-identical — the fusion only removes call/dispatch
-        overhead from the hottest periodic path.
-        """
-        from ..core.engine import RUN_FOREVER
-        engine = self.engine
-        events = engine.events
-        tick_ns = self.tick_ns
-        cpurq = self.cpurq(core)
-        min_gran = self.tunables.min_granularity_ns
-
-        def tick(_core: "Core") -> None:
-            if not core.online:
-                return
-            curr = core.current
-            now = engine.now
-            if curr is None:
-                if engine.tickless:
-                    # needs_tick() is False for every idle CFS core
-                    core.tick_stopped = True
-                    engine._nr_stopped_ticks += 1
-                    engine.metrics.incr("engine.tick_stops")
-                    return
-                events.repost(core.tick_event, now + tick_ns)
-                # CFS has no idle_tick work; keep the generic tick's
-                # post-idle_tick dispatch check.
-                if core.need_resched:
-                    engine._dispatch(core)
-                return
-            events.repost(core.tick_event, now + tick_ns)
-            # -- Engine._update_curr, inlined --
-            delta = now - core._curr_account_start
-            core._curr_account_start = now
-            if delta > 0:
-                core.account_to_now()
-                curr.total_runtime += delta
-                curr.last_ran = now
-                remaining = curr.run_remaining
-                if remaining is not None and remaining is not RUN_FOREVER:
-                    speed = core._curr_speed
-                    progress = delta if speed == 1.0 \
-                        else int(delta * speed)
-                    remaining -= progress
-                    curr.run_remaining = remaining if remaining > 0 else 0
-                # -- update_curr, inlined --
-                for rq in cpurq.curr_chain:
-                    rq.update_curr(delta)
-                curr.policy.se.avg.update(now, True)
-            # -- task_tick, inlined --
-            for rq in reversed(cpurq.curr_chain):
-                se = rq.curr
-                if se is None:
-                    continue
-                ideal = rq.sched_slice(se)
-                slice_exec = se.slice_exec
-                if slice_exec > ideal:
-                    core.need_resched = True
-                    continue
-                if slice_exec < min_gran:
-                    continue
-                first = rq.pick_first()
-                if first is not None and \
-                        se.vruntime - first.vruntime > ideal:
-                    core.need_resched = True
-            if core.need_resched:
-                engine._dispatch(core)
-            elif core.completion_event is not None:
-                engine._cancel_completion(core)
-                engine._arm_completion(core)
-
-        return tick
 
     def check_preempt_wakeup(self, core: "Core",
                              thread: "SimThread") -> None:
@@ -535,28 +447,19 @@ class CfsScheduler(SchedClass):
         The balancing hot path: instead of re-walking the runqueue
         hierarchy every pass, the per-task banks (``_avgs_cache``,
         invalidated on any runnable-set, timeline-order or weight
-        change) feed :func:`~repro.cfs.peltbank.fold_loads`, whose
-        arithmetic is expression-for-expression identical to
-        ``LoadAvg.peek`` so the result is bit-identical.
+        change) feed the fold in :meth:`loads_for`, whose arithmetic
+        is expression-for-expression identical to ``LoadAvg.peek`` so
+        the result is bit-identical.
         """
         return self.loads_for((cpu,))[cpu]
 
-    def _build_bank(self, cpu: int) -> tuple:
-        """Collect ``cpu``'s runnable-task ``LoadAvg`` bank (see
-        ``_avgs_cache``)."""
-        avgs = []
-        weights = []
-        pairs = []
-        core = self.machine.cores[cpu]
-        for t in self.runnable_threads(core):
+    def _build_bank(self, cpu: int) -> list:
+        """Collect ``cpu``'s runnable-task ``(LoadAvg, weight)`` bank
+        (see ``_avgs_cache``)."""
+        bank = []
+        for t in self.runnable_threads(self.machine.cores[cpu]):
             avg = t.policy.se.avg
-            avgs.append(avg)
-            weights.append(avg.weight)
-            pairs.append((avg, avg.weight))
-        # Third element pre-zips the parallel arrays for the inlined
-        # python fold in loads_for (one tuple alloc here instead of a
-        # zip object per balancing fold).
-        bank = (avgs, tuple(weights), pairs)
+            bank.append((avg, avg.weight))
         self._avgs_cache[cpu] = bank
         return bank
 
@@ -566,12 +469,11 @@ class CfsScheduler(SchedClass):
         tight loop, and return the live cpu-indexed memo list (entries
         outside ``cpus`` may be ``None``).
 
-        With the pure-python kernel the bank fold from
-        :func:`~repro.cfs.peltbank.fold_loads_python` is inlined here —
-        one loop per balancing pass instead of one call per CPU; keep
-        the two bodies in sync (``tests/test_peltbank.py`` pins them
-        against each other).  A non-default kernel (the numpy probe)
-        is still dispatched per bank.
+        The bank fold is :func:`~repro.cfs.peltbank.fold_loads_python`
+        inlined — one loop per balancing pass instead of one call per
+        CPU.  Keep the two bodies in sync: ``tests/test_peltbank.py``
+        pins the reference against a per-average ``LoadAvg.peek``, and
+        the engine-level digests pin this copy.
         """
         now = self.engine.now
         cache = self._load_cache
@@ -581,24 +483,6 @@ class CfsScheduler(SchedClass):
         avgs_cache = self._avgs_cache
         sat_loads = self._sat_loads
         half_life = HALF_LIFE_NS
-        if fold_loads is not fold_loads_python:
-            fold = fold_loads
-            for cpu in cpus:
-                if cache[cpu] is not None:
-                    continue
-                sat = sat_loads[cpu]
-                if sat is not None and now - sat[1] < half_life:
-                    # time-invariant saturated sum, still valid
-                    cache[cpu] = sat[0]
-                    continue
-                bank = avgs_cache[cpu]
-                if bank is None:
-                    bank = self._build_bank(cpu)
-                load, saturated, min_lu = fold(bank[0], bank[1], now)
-                cache[cpu] = load
-                if saturated:
-                    sat_loads[cpu] = (load, min_lu)
-            return cache
         exp = math.exp
         decay_cache = _DECAY_CACHE
         cache_get = decay_cache.get
@@ -623,7 +507,7 @@ class CfsScheduler(SchedClass):
             load = 0.0
             saturated = True
             min_lu = now
-            for avg, weight in bank[2]:
+            for avg, weight in bank:
                 lu = avg.last_update
                 delta = now - lu
                 u = avg.util_avg

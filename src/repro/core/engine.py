@@ -506,19 +506,11 @@ class Engine:
         self.machine.nr_offline -= 1
         core.account_to_now()
         if self._ticks_started:
-            period = self.scheduler.tick_ns
             core.tick_event = self.events.make_reusable(
-                self._tick_callback(core), core,
-                label=f"tick:cpu{core.index}")
-            behind = self.now - core.tick_origin
-            if behind < 0:
-                next_tick = core.tick_origin
-            else:
-                rem = behind % period
-                next_tick = self.now if rem == 0 \
-                    else self.now + period - rem
+                self._tick, core, label=f"tick:cpu{core.index}")
             core.tick_stopped = False
-            self.events.repost(core.tick_event, next_tick)
+            self.events.repost(core.tick_event,
+                               self._phase_aligned_tick(core))
         self.request_resched(core)
         self.metrics.incr("engine.hotplug_onlines")
         Tracer._fire(self.tracer.on_fault, "core-online", cpu)
@@ -871,18 +863,6 @@ class Engine:
                 self._cancel_completion(core)
                 self._arm_completion(core)
 
-    def _tick_callback(self, core: Core):
-        """The callback backing ``core``'s tick event: the scheduler's
-        fused hook when one exists (and no fault injector can bend tick
-        times), else the generic :meth:`_tick`.  A fused hook inlines
-        the accounting + task_tick chain bit-identically — the event
-        stream, labels and schedule are unchanged."""
-        if self.faults is None:
-            hook = self.scheduler.make_tick_hook(core)
-            if hook is not None:
-                return hook
-        return self._tick
-
     def start_ticks(self) -> None:
         """Arm the per-core periodic tick at the scheduler's rate."""
         if self._ticks_started:
@@ -893,19 +873,24 @@ class Engine:
             # Stagger ticks across cores like real timer interrupts.
             offset = (core.index * period) // max(1, len(self.machine))
             core.tick_event = self.events.make_reusable(
-                self._tick_callback(core), core,
-                label=f"tick:cpu{core.index}")
+                self._tick, core, label=f"tick:cpu{core.index}")
             core.tick_origin = self.now + period + offset
             core.tick_stopped = False
             self.events.repost(core.tick_event, core.tick_origin)
 
     def _tick(self, core: Core) -> None:
+        """The periodic tick (``scheduler_tick``/``sched_clock``): the
+        callback behind every core's reusable tick event.  The engine
+        parks, reposts, accounts and dispatches here, once; the
+        scheduler's periodic work is its ``task_tick``/``idle_tick``."""
         if not core.online:
             # Raced with a same-instant offline; the hotplug path
             # cancelled the tick, so this only fires for stale events.
             return
-        if core.current is None and self.tickless \
-                and not self.scheduler.needs_tick(core):
+        scheduler = self.scheduler
+        curr = core.current
+        if curr is None and self.tickless \
+                and not scheduler.needs_tick(core):
             # NO_HZ: the core is idle and the scheduler has no periodic
             # work for it — park the tick instead of re-arming.  Every
             # enqueue/migrate/renice/affinity change (and the core's own
@@ -915,13 +900,13 @@ class Engine:
             self._nr_stopped_ticks += 1
             self.metrics.incr("engine.tick_stops")
             return
-        next_tick = self.now + self.scheduler.tick_ns
+        next_tick = self.now + scheduler.tick_ns
         if self.faults is not None:
             next_tick = self.faults.tick_time(core, next_tick)
         self.events.repost(core.tick_event, next_tick)
-        if core.current is not None:
+        if curr is not None:
             self._update_curr(core)
-            self.scheduler.task_tick(core)
+            scheduler.task_tick(core)
             # The co-run speed factor may have changed; refresh timer.
             if core.need_resched:
                 self._dispatch(core)
@@ -929,28 +914,28 @@ class Engine:
                 self._cancel_completion(core)
                 self._arm_completion(core)
         else:
-            self.scheduler.idle_tick(core)
+            scheduler.idle_tick(core)
             if core.need_resched:
                 self._dispatch(core)
 
-    def _restart_tick(self, core: Core) -> None:
-        """Re-arm a parked core's tick, phase-aligned to its stagger.
-
-        The next tick lands on the same instant it would have in an
-        always-tick run: the first ``t >= now`` with
-        ``t ≡ tick_origin (mod tick_ns)``.
-        """
+    def _phase_aligned_tick(self, core: Core) -> int:
+        """The instant a re-armed tick lands on: the same one it would
+        have in an always-tick run, i.e. the first ``t >= now`` with
+        ``t ≡ tick_origin (mod tick_ns)``."""
         period = self.scheduler.tick_ns
         behind = self.now - core.tick_origin
         if behind < 0:
-            next_tick = core.tick_origin
-        else:
-            rem = behind % period
-            next_tick = self.now if rem == 0 else self.now + period - rem
+            return core.tick_origin
+        rem = behind % period
+        return self.now if rem == 0 else self.now + period - rem
+
+    def _restart_tick(self, core: Core) -> None:
+        """Re-arm a parked core's tick, phase-aligned to its stagger."""
         core.tick_stopped = False
         self._nr_stopped_ticks -= 1
         self.metrics.incr("engine.tick_restarts")
-        self.events.repost(core.tick_event, next_tick)
+        self.events.repost(core.tick_event,
+                           self._phase_aligned_tick(core))
 
     def _kick_stopped_ticks(self) -> None:
         """Restart parked ticks wherever the scheduler now has periodic

@@ -97,7 +97,13 @@ class SchedClass(abc.ABC):
         ``core.current`` (sets ``core.need_resched``)."""
 
     def task_tick(self, core: "Core") -> None:
-        """Periodic tick while ``core`` is running a thread."""
+        """Periodic tick while ``core`` is running a thread.
+
+        ``Engine._tick`` is the only tick path: it has already charged
+        the elapsed time through :meth:`update_curr`, and after this
+        returns it dispatches when ``need_resched`` is set.  NO_HZ
+        parking and the re-arm are the engine's, not the scheduler's.
+        """
 
     def idle_tick(self, core: "Core") -> None:
         """Periodic tick while ``core`` is idle; may set
@@ -135,20 +141,6 @@ class SchedClass(abc.ABC):
     def update_curr(self, core: "Core", thread: "SimThread",
                     delta_ns: int) -> None:
         """Charge ``delta_ns`` of execution to the running thread."""
-
-    def make_tick_hook(self, core: "Core"):
-        """Optionally return a fused per-core tick callback.
-
-        The engine installs the returned callable (signature
-        ``hook(core)``, like :meth:`Engine._tick`) as the core's tick
-        event callback when no fault injector is active.  A hook MUST
-        replicate the generic tick bit-identically — NO_HZ parking,
-        accounting, ``task_tick``/``idle_tick`` and the
-        dispatch-or-rearm epilogue — it exists purely to collapse the
-        engine→scheduler call chain on the hottest periodic path.
-        Returning None (the default) keeps the generic tick.
-        """
-        return None
 
     # -- introspection -----------------------------------------------------
 

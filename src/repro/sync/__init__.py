@@ -2,24 +2,20 @@
 mutexes, semaphores, events, pipes, barriers, condition variables, and
 request channels."""
 
-from .adaptive import AdaptiveMutex
 from .barrier import Barrier, CascadingBarrier
 from .channel import Channel
 from .condvar import CondVar
 from .mutex import Mutex
 from .pipe import Pipe
-from .rwlock import RWLock
 from .semaphore import OneShotEvent, Semaphore
 from .waitqueue import WaitQueue
 
 __all__ = [
     "WaitQueue",
-    "AdaptiveMutex",
     "Mutex",
     "Semaphore",
     "OneShotEvent",
     "Pipe",
-    "RWLock",
     "Barrier",
     "CascadingBarrier",
     "CondVar",

@@ -287,11 +287,16 @@ class UleScheduler(SchedClass):
         thread = core.current
         if thread is None:
             return
-        state = self.state_of(thread)
         # FreeBSD recomputes the running thread's priority every stathz
         # tick (sched_clock), reclassifying it as its history evolves,
-        # and rotates the timeshare calendar's insertion origin.
-        self._update_priority(thread)
+        # and rotates the timeshare calendar's insertion origin
+        # (state_of and _update_priority inlined: runs every tick).
+        state = thread.policy
+        hist = state.hist
+        nice = thread.nice
+        state.priority, state.interactive = compute_priority(
+            self.tunables, hist, nice)
+        state.prio_inputs = hist.runtime, hist.sleeptime, nice
         tdq: Tdq = core.rq
         if self._calendar:
             tdq.timeshare.advance()
@@ -332,84 +337,6 @@ class UleScheduler(SchedClass):
         # conservative superset of idle_tick's condition (it ignores
         # transferability), which the NO_HZ contract permits.
         return not core.is_idle or self._nr_loaded > 0
-
-    def make_tick_hook(self, core: "Core"):
-        """Fused ULE stathz tick (see ``SchedClass.make_tick_hook``).
-
-        Inlines ``Engine._tick`` → ``Engine._update_curr`` →
-        :meth:`update_curr` → :meth:`task_tick` into one closure over
-        per-core state, statement-for-statement identical to the
-        generic chain so the schedule is bit-identical.
-        """
-        from ..core.engine import RUN_FOREVER
-        engine = self.engine
-        events = engine.events
-        tick_ns = self.tick_ns
-        tun = self.tunables
-        slices = tun.slice_table
-        top = len(slices) - 1
-        calendar = self._calendar
-        tdq: Tdq = core.rq
-
-        def tick(_core: "Core") -> None:
-            if not core.online:
-                return
-            curr = core.current
-            now = engine.now
-            if curr is None:
-                if engine.tickless and self._nr_loaded == 0:
-                    # needs_tick(): an idle core only keeps ticking
-                    # while some tdq carries steal_thresh load
-                    core.tick_stopped = True
-                    engine._nr_stopped_ticks += 1
-                    engine.metrics.incr("engine.tick_stops")
-                    return
-                events.repost(core.tick_event, now + tick_ns)
-                self.idle_tick(core)
-                if core.need_resched:
-                    engine._dispatch(core)
-                return
-            events.repost(core.tick_event, now + tick_ns)
-            state = curr.policy
-            # -- Engine._update_curr, inlined --
-            delta = now - core._curr_account_start
-            core._curr_account_start = now
-            if delta > 0:
-                core.account_to_now()
-                curr.total_runtime += delta
-                curr.last_ran = now
-                remaining = curr.run_remaining
-                if remaining is not None and remaining is not RUN_FOREVER:
-                    speed = core._curr_speed
-                    progress = delta if speed == 1.0 \
-                        else int(delta * speed)
-                    remaining -= progress
-                    curr.run_remaining = remaining if remaining > 0 else 0
-                # -- update_curr, inlined --
-                state.hist.add_runtime(delta)
-            # -- task_tick, inlined (sched_clock) --
-            hist = state.hist
-            state.priority, state.interactive = compute_priority(
-                tun, hist, curr.nice)
-            state.prio_inputs = hist.runtime, hist.sleeptime, curr.nice
-            if calendar:
-                tdq.timeshare.advance()
-            ticks_used = state.ticks_used + 1
-            state.ticks_used = ticks_used
-            load = tdq.load
-            if ticks_used >= slices[load if load < top else top]:
-                if tdq.realtime.count or tdq.timeshare.count:
-                    core.need_resched = True
-                else:
-                    # alone on the core: keep running, restart slice
-                    state.ticks_used = 0
-            if core.need_resched:
-                engine._dispatch(core)
-            elif core.completion_event is not None:
-                engine._cancel_completion(core)
-                engine._arm_completion(core)
-
-        return tick
 
     # ------------------------------------------------------------------
     # wakeup preemption (disabled, per the paper)

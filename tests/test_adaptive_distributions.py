@@ -1,116 +1,10 @@
-"""Tests for the adaptive mutex and the distribution helpers."""
+"""Tests for the latency-distribution helpers."""
 
 import pytest
 
 from repro.analysis.distributions import (log_histogram, percentile_row,
                                           render_histogram)
-from repro.core import Engine, Run, Sleep, ThreadSpec
-from repro.core.clock import msec, sec, usec
 from repro.core.metrics import LatencyRecorder
-from repro.core.topology import single_core, smp
-from repro.sched import scheduler_factory
-from repro.sync import AdaptiveMutex
-
-
-def make_engine(ncpus=2):
-    topo = single_core() if ncpus == 1 else smp(ncpus)
-    return Engine(topo, scheduler_factory("fifo"), seed=31)
-
-
-# --------------------------------------------------------- adaptive mutex
-
-def test_uncontended_adaptive_acquire_never_sleeps():
-    eng = make_engine()
-    lock = AdaptiveMutex(eng, spin_ns=usec(20))
-
-    def solo(ctx):
-        for _ in range(10):
-            yield from lock.acquire_adaptive()
-            yield Run(usec(10))
-            yield lock.release()
-            yield Sleep(msec(1))
-
-    t = eng.spawn(ThreadSpec("solo", solo))
-    eng.run(until=sec(1))
-    assert lock.acquisitions == 10
-    assert lock.slept_acquires == 0
-    # no blocked time beyond the explicit Sleeps
-    assert t.total_sleeptime == 10 * msec(1)
-
-
-def test_short_hold_resolved_by_spinning():
-    """When the owner releases within the spin window, the waiter
-    acquires without sleeping."""
-    eng = make_engine(ncpus=2)
-    lock = AdaptiveMutex(eng, spin_ns=usec(100), spin_rounds=4)
-
-    def holder(ctx):
-        yield from lock.acquire_adaptive()
-        yield Run(usec(30))  # shorter than the spin window
-        yield lock.release()
-
-    def waiter(ctx):
-        yield Run(usec(5))  # arrive just after the holder
-        yield from lock.acquire_adaptive()
-        yield lock.release()
-
-    eng.spawn(ThreadSpec("holder", holder))
-    w = eng.spawn(ThreadSpec("waiter", waiter))
-    eng.run(until=sec(1))
-    assert lock.slept_acquires == 0
-    assert w.total_sleeptime == 0
-    assert w.total_runtime > usec(5)  # it did burn spin cycles
-
-
-def test_long_hold_falls_back_to_sleeping():
-    eng = make_engine(ncpus=2)
-    lock = AdaptiveMutex(eng, spin_ns=usec(50), spin_rounds=4)
-
-    def holder(ctx):
-        yield from lock.acquire_adaptive()
-        yield Run(msec(5))  # far beyond the spin window
-        yield lock.release()
-
-    def waiter(ctx):
-        yield Run(usec(5))
-        yield from lock.acquire_adaptive()
-        yield lock.release()
-
-    eng.spawn(ThreadSpec("holder", holder))
-    w = eng.spawn(ThreadSpec("waiter", waiter))
-    eng.run(until=sec(1))
-    assert lock.slept_acquires == 1
-    assert w.total_sleeptime > 0
-
-
-def test_spin_counts_as_runtime_for_ule_classification():
-    """The same contention classifies differently by lock type: a
-    spin-heavy waiter accumulates runtime (toward batch), a sleeping
-    waiter accumulates sleep (toward interactive)."""
-    eng = Engine(smp(2), scheduler_factory("ule"), seed=31)
-    lock = AdaptiveMutex(eng, spin_ns=msec(2), spin_rounds=8)
-
-    def holder(ctx):
-        while True:
-            yield from lock.acquire_adaptive()
-            yield Run(msec(3))
-            yield lock.release()
-            yield Run(usec(100))
-
-    def spinner(ctx):
-        while True:
-            yield from lock.acquire_adaptive()
-            yield Run(usec(100))
-            yield lock.release()
-            yield Sleep(usec(500))
-
-    eng.spawn(ThreadSpec("holder", holder, affinity=frozenset({0})))
-    s = eng.spawn(ThreadSpec("spinner", spinner,
-                             affinity=frozenset({1})))
-    eng.run(until=sec(8))
-    # the spinner burned most of its cycles spinning: classified batch
-    assert s.total_runtime > s.total_sleeptime
-    assert not s.policy.interactive
 
 
 # ---------------------------------------------------------- distributions

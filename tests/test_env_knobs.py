@@ -45,7 +45,7 @@ def test_knobs_read_match_documented_table():
     assert knobs_read_by_program() == knob_table()
 
 
-def test_knob_set_is_the_documented_six():
+def test_knob_set_is_the_documented_five():
     assert knob_table() == {
-        "REPRO_CELL_CACHE", "REPRO_NUMPY", "REPRO_PROFILE",
-        "REPRO_SANITIZE", "REPRO_SCHED_STRICT", "REPRO_WARM_ENGINES"}
+        "REPRO_CELL_CACHE", "REPRO_PROFILE", "REPRO_SANITIZE",
+        "REPRO_SCHED_STRICT", "REPRO_WARM_ENGINES"}

@@ -3,8 +3,7 @@
 The load-bearing property is **bit-identity**: folding a bank must
 reproduce, bit for bit, the sum of walking the averages and peeking
 each one (that is what keeps the flat balancer digest-identical to
-the per-thread walk), and the optional numpy kernel must reproduce
-the python kernel exactly.  The inline copy of the fold inside
+the per-thread walk).  The inline copy of the fold inside
 ``CfsScheduler.loads_for`` is pinned against the module kernel by the
 engine-level digests (tests/test_flat_timeline.py, golden traces).
 """
@@ -13,10 +12,8 @@ import random
 
 import pytest
 
-from repro.cfs import peltbank
 from repro.cfs.pelt import HALF_LIFE_NS, LoadAvg
-from repro.cfs.peltbank import (fold_loads_numpy, fold_loads_python,
-                                numpy_enabled)
+from repro.cfs.peltbank import fold_loads_python
 
 
 def _bank(seed, n, now):
@@ -64,16 +61,6 @@ def test_python_fold_matches_sequential_peek(seed, n):
     assert min_lu <= now
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("n", (0, 1, 2, 7, 40))
-def test_numpy_fold_matches_python_fold(seed, n):
-    pytest.importorskip("numpy")
-    now = 10 * HALF_LIFE_NS
-    avgs, weights = _bank(seed, n, now)
-    assert fold_loads_numpy(avgs, weights, now) == \
-        fold_loads_python(avgs, weights, now)
-
-
 def test_saturated_flag_only_when_every_term_is_invariant():
     now = 10 * HALF_LIFE_NS
     sat = LoadAvg()
@@ -92,25 +79,3 @@ def test_saturated_flag_only_when_every_term_is_invariant():
 
 def test_empty_bank_folds_to_zero():
     assert fold_loads_python([], (), 123) == (0.0, True, 123)
-
-
-def test_numpy_probe_requires_opt_in(monkeypatch):
-    """The numpy kernel is an explicit opt-in: ``REPRO_NUMPY`` unset,
-    empty, or falsy keeps the python kernel even with numpy present."""
-    for value in ("", "0", "false", "no", "off", "False"):
-        monkeypatch.setenv("REPRO_NUMPY", value)
-        assert not numpy_enabled()
-    monkeypatch.delenv("REPRO_NUMPY")
-    assert not numpy_enabled()
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    try:
-        import numpy  # noqa: F401
-        assert numpy_enabled()
-    except ImportError:  # pragma: no cover - numpy normally present
-        assert not numpy_enabled()
-
-
-def test_active_kernel_selected_from_probe():
-    """``fold_loads`` is bound once at import; with the default
-    environment that is the python kernel."""
-    assert peltbank.fold_loads in (fold_loads_python, fold_loads_numpy)

@@ -1,9 +1,8 @@
-"""schedlint ``--dataflow`` tier: CFG, taint, parity, atomicity.
+"""schedlint ``--dataflow`` tier: CFG, taint, atomicity.
 
 The seeded-mutation self-check is the heart of this file: every rule
 family carries known-bad fixtures (synthetic snippets for taint and
-atomicity, textual mutations of the *real* engine/scheduler sources
-for parity) and the tier must flag every one of them, plus the
+atomicity) and the tier must flag every one of them, plus the
 sanitizer/idiom negatives it must stay silent on.  Baseline and SARIF
 plumbing, CLI exit codes, and the <10s wall-time budget for the full
 tree round it out.
@@ -30,17 +29,12 @@ from repro.analysis.lint.dataflow.baseline import (apply_baseline,
                                                    load_baseline,
                                                    write_baseline)
 from repro.analysis.lint.dataflow.cfg import build_cfg, module_functions
-from repro.analysis.lint.dataflow.parity import (RULE_TICKHOOK,
-                                                 check_parity)
 from repro.analysis.lint.dataflow.sarif import sarif_dict
 from repro.analysis.lint.dataflow.solver import (env_join,
                                                  solve_forward)
 from repro.analysis.lint.dataflow.taint import analyze_module
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-ENGINE = os.path.join(SRC, "repro", "core", "engine.py")
-CFS = os.path.join(SRC, "repro", "cfs", "core.py")
-ULE = os.path.join(SRC, "repro", "ule", "core.py")
 
 
 def rules_of(findings):
@@ -55,14 +49,6 @@ def lint_df(snippet, path="repro/somewhere/code.py"):
 def taint_of(snippet, path="repro/somewhere/code.py"):
     tree = ast.parse(textwrap.dedent(snippet))
     return analyze_module(tree, path)
-
-
-def real_sources():
-    out = {}
-    for path in (ENGINE, CFS, ULE):
-        with open(path, "r", encoding="utf-8") as handle:
-            out[os.path.relpath(path, SRC)] = handle.read()
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -391,61 +377,6 @@ def test_replaced_syntactic_rules_disabled_under_dataflow():
 
 
 # ----------------------------------------------------------------------
-# tick-hook parity against the real sources
-# ----------------------------------------------------------------------
-
-def test_parity_real_tree_is_clean():
-    assert check_parity(real_sources()) == []
-
-
-def mutate(files, path_suffix, old, new, after=None):
-    out = dict(files)
-    for path in out:
-        if path.endswith(path_suffix):
-            source = out[path]
-            if after is not None:
-                head, _, tail = source.partition(after)
-                assert old in tail, f"{old!r} not found after {after!r}"
-                out[path] = head + after + tail.replace(old, new, 1)
-            else:
-                assert old in source, f"{old!r} not found"
-                out[path] = source.replace(old, new, 1)
-            return out
-    raise AssertionError(path_suffix)
-
-
-#: (name, mutation kwargs, expected rule) — the parity self-check
-PARITY_MUTATIONS = [
-    ("cfs-hook-drops-last-ran",
-     dict(path_suffix="cfs/core.py",
-          old="curr.last_ran = now",
-          new="pass"),
-     RULE_TICKHOOK),
-    ("ule-hook-drops-parking-incr",
-     dict(path_suffix="ule/core.py",
-          old="engine._nr_stopped_ticks += 1",
-          new="pass"),
-     RULE_TICKHOOK),
-    ("update-curr-gains-unmirrored-statement",
-     dict(path_suffix="core/engine.py",
-          old="thread.last_ran = now",
-          new="thread.last_ran = now\n"
-              "        thread.wakeups_accounted = now"),
-     RULE_TICKHOOK),
-]
-
-
-@pytest.mark.parametrize(
-    "name,kwargs,rule",
-    PARITY_MUTATIONS, ids=[m[0] for m in PARITY_MUTATIONS])
-def test_parity_mutation_detected(name, kwargs, rule):
-    files = mutate(real_sources(), **kwargs)
-    findings = check_parity(files)
-    assert rule in rules_of(findings), \
-        f"{name}: expected {rule}, got {rules_of(findings)}"
-
-
-# ----------------------------------------------------------------------
 # cross-process atomicity in the experiments tree
 # ----------------------------------------------------------------------
 
@@ -536,13 +467,11 @@ def test_atomicity_scope_helper():
 # ----------------------------------------------------------------------
 
 def test_seeded_fixture_inventory_spans_families():
-    """ISSUE acceptance: >= 12 seeded bugs across the three families,
-    every one flagged by the dataflow tier (asserted per-fixture
-    above; this pins the inventory so it cannot silently shrink)."""
-    inventory = (len(TAINT_FIXTURES) + len(PARITY_MUTATIONS)
-                 + len(ATOMICITY_FIXTURES))
+    """>= 12 seeded bugs across the two families, every one flagged
+    by the dataflow tier (asserted per-fixture above; this pins the
+    inventory so it cannot silently shrink)."""
+    inventory = len(TAINT_FIXTURES) + len(ATOMICITY_FIXTURES)
     assert len(TAINT_FIXTURES) >= 6
-    assert len(PARITY_MUTATIONS) >= 3
     assert len(ATOMICITY_FIXTURES) >= 3
     assert inventory >= 12
 
