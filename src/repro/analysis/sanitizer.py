@@ -16,8 +16,10 @@ scheduler invariants after *every* dispatched event:
   ``load_weight`` / hierarchical ``h_nr_running`` bookkeeping, curr
   kept out of the tree, cached ``min_vruntime`` never moving
   backwards, PELT averages staying in range (``util_avg <= 1``
-  exactly) with weights in sync, and the per-cpu runnable-weight and
-  per-group weight counters equal to what they summarize.
+  exactly) with weights in sync, the per-cpu runnable-weight and
+  per-group weight counters equal to what they summarize, and each
+  balancing group's runnable weight exact and its decayed-load memo
+  bracketing the group's exact load.
 * **ULE** — ``tdq.load`` equal to queued threads plus the running one,
   never negative; the ``_nr_loaded`` steal-threshold counter exact;
   the running thread never also marked queued; per-queue bitmap
@@ -35,6 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from ..cfs.peltbank import fold_loads_python
 from ..core.errors import SanitizerError
 from ..ule.priority import compute_priority
 
@@ -291,6 +294,9 @@ class Sanitizer:
 
     def _cfs_invariants(self) -> None:
         fair = self._cfs
+        now = self.engine.now
+        # cpu -> the exact PELT fold of its runnable tasks at ``now``
+        cpu_loads: list = []
         for core in self.engine.machine.cores:
             stack = [fair.cpurq(core).root]
             while stack:
@@ -302,16 +308,20 @@ class Sanitizer:
                 for se in entities:
                     if not se.is_task and se.my_rq is not None:
                         stack.append(se.my_rq)
-            # the balancer's no-op proof reads this counter as an
-            # upper bound on the cpu's load (balance._provably_balanced)
-            weight = sum(fair.weight_of(t)
-                         for t in fair.runnable_threads(core))
+            # every PELT term is at most its weight, so this counter
+            # bounds the cpu's load; the balancer's group weights sum it
+            threads = fair.runnable_threads(core)
+            weight = sum(fair.weight_of(t) for t in threads)
             if fair.runnable_weight[core.index] != weight:
                 self._fail("cfs-task-weight",
                            f"cpu{core.index} runnable_weight="
                            f"{fair.runnable_weight[core.index]} but its "
                            f"runnable tasks weigh {weight}",
                            cpu=core.index)
+            avgs = [t.policy.se.avg for t in threads]
+            cpu_loads.append(fold_loads_python(
+                avgs, [avg.weight for avg in avgs], now))
+        self._cfs_group_load_invariants(cpu_loads)
         for group in (fair.root_group, *fair._app_groups.values()):
             total = sum(rq.load_weight for rq in group.cfs_rqs)
             if group.load_weight_sum != total:
@@ -319,6 +329,33 @@ class Sanitizer:
                            f"task group {group.name} load_weight_sum="
                            f"{group.load_weight_sum} but its runqueues "
                            f"sum to {total}")
+
+    def _cfs_group_load_invariants(self, cpu_loads: list) -> None:
+        """The balancer's group state: each ``W_g`` equals the summed
+        per-cpu runnable weight, and a live memo's projected
+        ``[lo, hi]`` brackets the group's exact load (the no-op proof
+        of balance._provably_balanced relies on both)."""
+        fair = self._cfs
+        now = self.engine.now
+        for group in fair.group_loads:
+            weight = sum(fair.runnable_weight[cpu] for cpu in group.cpus)
+            if group.weight != weight:
+                self._fail("cfs-group-load",
+                           f"group {sorted(group.cpus)} W_g="
+                           f"{group.weight} but its cpus' runnable "
+                           f"weight sums to {weight}")
+            bounds = group.bounds(now)
+            if bounds is None:
+                continue
+            load = 0.0
+            for cpu in group.cpus:  # load_balance's summation order
+                load += cpu_loads[cpu]
+            if not bounds[0] <= load <= bounds[1]:
+                self._fail("cfs-group-load",
+                           f"group {sorted(group.cpus)} load {load!r} "
+                           f"outside its projected bounds {bounds!r} "
+                           f"(memo t0={group.t0}, "
+                           f"deficit={group.deficit!r})")
 
     def _cfs_rq_invariants(self, rq, core: "Core") -> None:
         cpu = core.index

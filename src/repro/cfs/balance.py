@@ -19,11 +19,84 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..core.clock import sec
+from .pelt import decay_factor
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.machine import Core
     from ..core.thread import SimThread
     from .core import CfsScheduler
     from .domains import SchedDomain
+
+#: a memo older than this is ignored (it also bounds the number of
+#: PELT updates, and so the rounding error, a projection spans)
+MEMO_HORIZON_NS = sec(1)
+
+#: relative slack of the projected bounds, as a fraction of ``W_g``;
+#: covers the float error of the projection (docs/performance.md)
+LOAD_SLACK = 2.0 ** -16
+
+
+class GroupLoad:
+    """One balancing group's runnable weight and decayed-load memo.
+
+    One object per distinct group of the topology, shared by every CPU
+    whose domains contain the group.  ``weight`` is ``W_g``, the exact
+    integer sum of the group's ``CfsScheduler.runnable_weight``.  The
+    memo ``(t0, deficit)`` records ``D = W_g - L_g(t0)`` from the last
+    exact fold of the group's load ``L_g``.
+
+    While no task on the group's CPUs is enqueued, dequeued or
+    reweighted, every task in the group's banks stays runnable, so each
+    PELT average's deficit ``1 - u`` decays by ``2**(-dt / H)`` whether
+    or not ``LoadAvg.update`` ran in between.  The load at ``t0 + dt``
+    is then ``W_g - D * decay_factor(dt)`` in exact arithmetic, and
+    :meth:`bounds` widens that by ``LOAD_SLACK * W_g`` either way to
+    cover the float error.
+    """
+
+    __slots__ = ("cpus", "size", "weight", "t0", "deficit")
+
+    def __init__(self, cpus: frozenset[int]):
+        self.cpus = cpus
+        self.size = len(cpus)
+        #: ``W_g``: runnable task weight on the group's CPUs
+        self.weight = 0
+        #: when the memo was taken; for a dropped memo, the instant it
+        #: was dropped (see :meth:`remember`)
+        self.t0 = 0
+        #: ``W_g - L_g(t0)``, or None when there is no memo
+        self.deficit: Optional[float] = None
+
+    def reweight(self, delta: int, now: int) -> None:
+        """The runnable set or a task weight changed on one of the
+        group's CPUs: adjust ``W_g`` and drop the memo."""
+        self.weight += delta
+        self.deficit = None
+        self.t0 = now
+
+    def remember(self, now: int, load: float) -> None:
+        """Memo the group's exactly folded ``load`` at ``now``.
+
+        A memo dropped at ``now`` is not taken again until a later
+        instant: the balancer's per-instant load cache is not cleared by
+        a renice, so it may still hold a pre-renice load.
+        """
+        if self.deficit is None and self.t0 == now:
+            return
+        self.t0 = now
+        self.deficit = self.weight - load
+
+    def bounds(self, now: int) -> Optional[tuple[float, float]]:
+        """``(lo, hi)`` around the group's load at ``now``, or None
+        without a live memo."""
+        deficit = self.deficit
+        if deficit is None or now - self.t0 > MEMO_HORIZON_NS:
+            return None
+        weight = self.weight
+        load = weight - deficit * decay_factor(now - self.t0)
+        slack = weight * LOAD_SLACK
+        return load - slack, load + slack
 
 
 def nohz_idle_balance(sched: "CfsScheduler", core: "Core") -> None:
@@ -56,46 +129,55 @@ def load_balance(sched: "CfsScheduler", core: "Core",
                  domain: "SchedDomain", idle: bool) -> int:
     """Try to pull load into ``core`` from the busiest group of
     ``domain``; returns the number of migrated tasks."""
-    local_group = domain.local_group()
+    now = sched.engine.now
+    group_loads = sched.group_loads
+    local = group_loads[domain.local_id]
+    bounds = local.bounds(now)
+    if bounds is not None and _provably_balanced(
+            group_loads, now, domain, local, bounds[0]):
+        domain.nr_balance_failed = 0
+        return 0
+    local_group = local.cpus
     loads = sched.loads_for(local_group)
     local_load = 0.0
     for cpu in local_group:
         local_load += loads[cpu]
-    # Average over group size: the paper's "load of the NUMA nodes,
-    # defined as the average load of their cores".
-    local_avg = local_load / len(local_group)
-    if _provably_balanced(sched, core.index, domain, local_group,
-                          local_load, local_avg):
+    local.remember(now, local_load)
+    if _provably_balanced(group_loads, now, domain, local, local_load):
         domain.nr_balance_failed = 0
         return 0
+    # Average over group size: the paper's "load of the NUMA nodes,
+    # defined as the average load of their cores".
+    local_avg = local_load / local.size
     # One batched pass over the span fills the per-instant memo; the
     # group sums then index it directly (the balancer's hot path).
     loads = sched.loads_for(domain.span)
     busiest_group = None
     busiest_load = local_load
-    local_cpu = core.index
-    for group in domain.groups:
-        if group is local_group or local_cpu in group:
+    for gid in domain.group_ids:
+        group = group_loads[gid]
+        if group is local:
             continue
         load = 0.0
-        for cpu in group:
+        for cpu in group.cpus:
             load += loads[cpu]
+        group.remember(now, load)
         if load > busiest_load:
             busiest_group = group
             busiest_load = load
     if busiest_group is None:
         domain.nr_balance_failed = 0
         return 0
-    busiest_avg = busiest_load / len(busiest_group)
+    busiest_avg = busiest_load / busiest_group.size
     if busiest_avg * 100 <= local_avg * domain.imbalance_pct:
         domain.nr_balance_failed = 0
         return 0
-    victim_cpu = busiest_cpu_in(sched, busiest_group)
+    victim_cpu = busiest_cpu_in(sched, busiest_group.cpus)
     if victim_cpu is None:
         return 0
     # Move enough load to even the two groups out, capped at
     # max_migrate tasks (the paper's 32).
-    target_gap = (busiest_avg - local_avg) * len(local_group) / 2
+    target_gap = (busiest_avg - local_avg) * local.size / 2
     moved = detach_and_move(sched, victim_cpu, core.index, target_gap,
                             domain)
     if moved:
@@ -105,28 +187,37 @@ def load_balance(sched: "CfsScheduler", core: "Core",
     return moved
 
 
-def _provably_balanced(sched: "CfsScheduler", local_cpu: int,
-                       domain: "SchedDomain", local_group,
-                       local_load: float, local_avg: float) -> bool:
-    """True when no remote group's *runnable weight* can clear either
-    gate of the full pass, so that pass would find nothing to move.
+def _provably_balanced(group_loads: list, now: int,
+                       domain: "SchedDomain", local: "GroupLoad",
+                       local_load: float) -> bool:
+    """True when no remote group's load *upper bound* can clear either
+    gate of the full pass against ``local_load``, a lower bound on (or
+    the exact value of) the local group's load, so that pass would
+    find nothing to move.
 
-    Exact, not a heuristic: ``util_avg`` stays in [0, 1] and IEEE
-    rounding is monotone, so every folded PELT term is at most its
-    task's weight and a group's folded load is at most ``W_g``, the
-    integer sum of ``sched.runnable_weight`` over the group.  A group
-    with ``W_g <= local_load`` cannot be the busiest, and one whose
-    ``W_g`` average passes the imbalance test cannot fail it with its
-    smaller real load.  Costs one integer sum per group instead of a
-    PELT fold of every task in the span.
+    Exact, not a heuristic: a group that the full pass picks as the
+    busiest has a load above the local load, so its upper bound is too,
+    and IEEE rounding is monotone, so its bound's average passing the
+    imbalance test means its smaller real average cannot fail it.  The
+    upper bound is the group's runnable weight ``W_g`` (every PELT term
+    is at most its task's weight), tightened by the decayed projection
+    of :meth:`GroupLoad.bounds` while a memo is live.  Costs O(groups)
+    instead of a PELT fold of every task in the span.
     """
-    weights = sched.runnable_weight.__getitem__
-    gate = local_avg * domain.imbalance_pct
-    for group in domain.groups:
-        if group is local_group or local_cpu in group:
+    gate = local_load / local.size * domain.imbalance_pct
+    for gid in domain.group_ids:
+        group = group_loads[gid]
+        if group is local:
             continue
-        weight = sum(map(weights, group))
-        if weight > local_load and weight / len(group) * 100 > gate:
+        # W_g alone settles most groups; project only when it cannot
+        weight = group.weight
+        if weight <= local_load or weight / group.size * 100 <= gate:
+            continue
+        bounds = group.bounds(now)
+        if bounds is None:
+            return False
+        high = bounds[1]
+        if high > local_load and high / group.size * 100 > gate:
             return False
     return True
 

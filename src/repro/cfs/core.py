@@ -26,7 +26,7 @@ from ..core.schedflags import DequeueFlags, EnqueueFlags, SelectFlags
 from ..sched.base import SchedClass
 from . import balance, placement
 from .cgroup import TaskGroup
-from .domains import SchedDomain, build_domains
+from .domains import SchedDomain, build_domains, domain_blueprint
 from .entity import SchedEntity
 from .params import CfsTunables
 from .pelt import (HALF_LIFE_NS, _DECAY_CACHE, _DECAY_CACHE_MAX, _LN2,
@@ -84,7 +84,7 @@ class CfsScheduler(SchedClass):
         self._started = False
         #: per-instant load memo, cpu-indexed (None = not computed at
         #: ``_load_cache_time``); balancing reads the same loads many
-        #: times within one event instant.  All three per-cpu caches
+        #: times within one event instant.  It and the per-cpu state
         #: below are flat lists rather than dicts: cpu indices are
         #: dense and fixed at construction, and the balancer fold hits
         #: them hundreds of thousands of times per smoke run, where a
@@ -96,19 +96,22 @@ class CfsScheduler(SchedClass):
         #: runnable set (or timeline order, or a task weight) changes;
         #: lets :meth:`loads_for` skip the hierarchy walk entirely
         self._avgs_cache: list = [None] * ncpus
-        #: cpu -> (load, min_last_update) or None: a cpu whose every
-        #: runnable average sits at the saturated fixed point has a
-        #: time-invariant load (each term is ``u * weight``); the sum
-        #: stays bit-identical until the runnable set changes (cleared
-        #: alongside ``_avgs_cache``) or the stalest average leaves the
-        #: d >= 0.5 window
-        self._sat_loads: list = [None] * ncpus
         #: cpu -> exact integer sum of the weights of the runnable
-        #: tasks queued there (kept in enqueue/dequeue/renice).  Every
-        #: PELT term is at most its weight, so a cpu's load never
-        #: exceeds this; the balancer uses it to prove a pass is a
-        #: no-op before folding the span (balance._provably_balanced)
+        #: tasks queued there (kept in enqueue/dequeue/renice by
+        #: :meth:`_reweight`).  Every PELT term is at most its weight,
+        #: so a cpu's load never exceeds this
         self.runnable_weight: list = [0] * ncpus
+        blueprint = domain_blueprint(self.topology, self.tunables)
+        #: one :class:`~repro.cfs.balance.GroupLoad` per distinct
+        #: balancing group, indexed by ``SchedDomain.group_ids``; the
+        #: balancer bounds group loads with them to prove a pass is a
+        #: no-op before folding the span (balance._provably_balanced)
+        self.group_loads: list = [balance.GroupLoad(group)
+                                  for group in blueprint.groups]
+        #: cpu -> the group loads whose group contains the cpu
+        self._cpu_group_loads: list = [
+            tuple(self.group_loads[gid] for gid in gids)
+            for gids in blueprint.cpu_groups]
         #: reusable per-core balance-tick events
         self._lb_events: dict[int, object] = {}
         #: cpu -> this class's :class:`CfsCpuRq`, recorded by
@@ -212,13 +215,20 @@ class CfsScheduler(SchedClass):
         se = self.state_of(thread).se
         new_weight = nice_to_weight(thread.nice)
         if se.cfs_rq is not None and se.on_rq:
-            self.runnable_weight[se.cfs_rq.cpu] += new_weight - se.weight
+            self._reweight(se.cfs_rq.cpu, new_weight - se.weight)
             se.cfs_rq.reweight_entity(se, new_weight)
             self._avgs_cache[se.cfs_rq.cpu] = None
-            self._sat_loads[se.cfs_rq.cpu] = None
         else:
             se.weight = new_weight
             se.avg.weight = new_weight
+
+    def _reweight(self, cpu: int, delta: int) -> None:
+        """Runnable weight on ``cpu`` changed by ``delta``: keep the
+        per-cpu counter and the cpu's balancing groups in step."""
+        self.runnable_weight[cpu] += delta
+        now = self.engine.now
+        for group in self._cpu_group_loads[cpu]:
+            group.reweight(delta, now)
 
     # ------------------------------------------------------------------
     # enqueue / dequeue
@@ -248,7 +258,7 @@ class CfsScheduler(SchedClass):
             rq.place_entity(se, initial=False)
         rq.enqueue_entity(se)
         rq.h_nr_running += 1
-        self.runnable_weight[cpu] += se.weight
+        self._reweight(cpu, se.weight)
         for group in self._group_path(state.group):
             gse = group.entity_on(cpu)
             parent_rq = group.parent.rq_on(cpu)
@@ -260,7 +270,6 @@ class CfsScheduler(SchedClass):
             group.update_group_weight(cpu)
         self._load_cache[cpu] = None
         self._avgs_cache[cpu] = None
-        self._sat_loads[cpu] = None
 
     def dequeue_task(self, core: "Core", thread: "SimThread",
                      flags: DequeueFlags) -> None:
@@ -272,7 +281,7 @@ class CfsScheduler(SchedClass):
         rq = state.group.rq_on(cpu)
         rq.dequeue_entity(se)
         rq.h_nr_running -= 1
-        self.runnable_weight[cpu] -= se.weight
+        self._reweight(cpu, -se.weight)
         if flags & DequeueFlags.MIGRATE:
             se.vruntime -= rq.min_vruntime
         for group in self._group_path(state.group):
@@ -284,7 +293,6 @@ class CfsScheduler(SchedClass):
             group.update_group_weight(cpu)
         self._load_cache[cpu] = None
         self._avgs_cache[cpu] = None
-        self._sat_loads[cpu] = None
 
     # ------------------------------------------------------------------
     # picking
@@ -295,7 +303,6 @@ class CfsScheduler(SchedClass):
         # set_next/put_prev move entities between curr and the tree,
         # which reorders queued_entities() traversal.
         self._avgs_cache[core.index] = None
-        self._sat_loads[core.index] = None
         for rq in reversed(cpurq.curr_chain):
             if rq.curr is not None:
                 rq.put_prev(rq.curr)
@@ -324,7 +331,6 @@ class CfsScheduler(SchedClass):
         picking (used when another scheduling class takes over)."""
         cpurq = self.cpurq(core)
         self._avgs_cache[core.index] = None
-        self._sat_loads[core.index] = None
         for rq in reversed(cpurq.curr_chain):
             if rq.curr is not None:
                 rq.put_prev(rq.curr)
@@ -481,7 +487,6 @@ class CfsScheduler(SchedClass):
             self._load_cache_time = now
             self._load_cache = cache = [None] * len(cache)
         avgs_cache = self._avgs_cache
-        sat_loads = self._sat_loads
         half_life = HALF_LIFE_NS
         exp = math.exp
         decay_cache = _DECAY_CACHE
@@ -491,35 +496,19 @@ class CfsScheduler(SchedClass):
         for cpu in cpus:
             if cache[cpu] is not None:
                 continue
-            sat = sat_loads[cpu]
-            if sat is not None and now - sat[1] < half_life:
-                # Every average on this cpu sat at the saturated fixed
-                # point when the sum was stored, and the stalest of
-                # them is still within a half-life: each per-avg term
-                # is the time-invariant ``u * weight`` (see
-                # pelt._SATURATED), so the stored sum is bit-identical
-                # to recomputing it now.
-                cache[cpu] = sat[0]
-                continue
             bank = avgs_cache[cpu]
             if bank is None:
                 bank = build_bank(cpu)
             load = 0.0
-            saturated = True
-            min_lu = now
             for avg, weight in bank:
-                lu = avg.last_update
-                delta = now - lu
+                delta = now - avg.last_update
                 u = avg.util_avg
                 if u >= sat_point and delta < half_life:
                     # saturated fixed point, d >= 0.5: the decayed
                     # value is u itself, bit-for-bit
                     load += u * weight
-                    if lu < min_lu:
-                        min_lu = lu
                 elif delta <= 0:
                     load += u * weight
-                    saturated = False
                 else:
                     d = cache_get(delta)
                     if d is None:
@@ -529,10 +518,7 @@ class CfsScheduler(SchedClass):
                             decay_cache.clear()
                         decay_cache[delta] = d
                     load += (u * d + (1.0 - d)) * weight
-                    saturated = False
             cache[cpu] = load
-            if saturated:
-                sat_loads[cpu] = (load, min_lu)
         return cache
 
     def runnable_threads(self, core: "Core") -> Iterable["SimThread"]:

@@ -16,7 +16,7 @@ machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.topology import Topology
@@ -37,6 +37,12 @@ class SchedDomain:
     interval_ns: int
     #: busiest/local load ratio (x100) required to act
     imbalance_pct: int
+    #: each group's index in :attr:`DomainBlueprint.groups` (parallel
+    #: to ``groups``), so per-group balancing state is shared by every
+    #: CPU whose domains contain the group
+    group_ids: tuple[int, ...]
+    #: the index of :meth:`local_group` in the same table
+    local_id: int
     #: last time this domain was balanced (mutable bookkeeping)
     last_balance: int = 0
     #: consecutive balance attempts that moved nothing
@@ -50,8 +56,21 @@ class SchedDomain:
         raise ValueError(f"cpu {self.cpu} not in any group of {self.name}")
 
 
+class DomainBlueprint(NamedTuple):
+    """The balancing structure of one topology: every CPU's domain
+    chain plus the table of distinct balancing groups."""
+
+    #: per cpu, the ``SchedDomain`` constructor rows, smallest first
+    rows: tuple[tuple[tuple, ...], ...]
+    #: every distinct balancing group, once (an equal group in two
+    #: CPUs' domains is the same object)
+    groups: tuple[frozenset[int], ...]
+    #: per cpu, the indices of the groups that contain it
+    cpu_groups: tuple[tuple[int, ...], ...]
+
+
 #: blueprint memo: (id(topology), balancing tunables) -> (topology,
-#: {cpu: immutable constructor rows}).  Topologies are interned by
+#: DomainBlueprint).  Topologies are interned by
 #: :mod:`repro.core.topology`, so campaign cells sharing a machine
 #: shape hit the same entry and every engine after the first skips the
 #: level/partition walk entirely; each engine still gets *fresh*
@@ -62,38 +81,63 @@ _BLUEPRINTS: dict = {}
 _BLUEPRINTS_MAX = 64
 
 
-def build_domains(cpu: int, topology: "Topology",
-                  tunables: "CfsTunables") -> list[SchedDomain]:
-    """Build the non-degenerate domain chain for one CPU, smallest
-    first.  A domain's groups are the partition of its span by the next
-    finer (non-degenerate) level; the finest partition is single CPUs.
-
-    Memoized per (topology, balancing tunables): the chain *shape* is
-    a pure function of those, so repeat engines (campaign cells, bench
-    rounds) only pay fresh-object construction.
-    """
+def domain_blueprint(topology: "Topology",
+                     tunables: "CfsTunables") -> DomainBlueprint:
+    """The memoized :class:`DomainBlueprint` of ``topology``: the chain
+    *shape* is a pure function of the topology and the balancing
+    tunables, so repeat engines (campaign cells, bench rounds) only
+    pay fresh-object construction."""
     key = (id(topology), tunables.balance_interval_ns,
            tunables.imbalance_pct_llc, tunables.imbalance_pct_numa)
     entry = _BLUEPRINTS.get(key)
     if entry is None or entry[0] is not topology:
         if len(_BLUEPRINTS) >= _BLUEPRINTS_MAX:
             _BLUEPRINTS.clear()
-        entry = _BLUEPRINTS[key] = (topology, {})
-    rows = entry[1].get(cpu)
-    if rows is None:
-        rows = entry[1][cpu] = tuple(
-            (d.cpu, d.name, d.span, d.groups, d.interval_ns,
-             d.imbalance_pct)
-            for d in _build_domains(cpu, topology, tunables))
-    return [SchedDomain(*row) for row in rows]
+        entry = _BLUEPRINTS[key] = (
+            topology, _make_blueprint(topology, tunables))
+    return entry[1]
 
 
-def _build_domains(cpu: int, topology: "Topology",
-                   tunables: "CfsTunables") -> list[SchedDomain]:
-    """The uncached walk behind :func:`build_domains`."""
-    domains: list[SchedDomain] = []
-    child_partition: list[frozenset[int]] = [
-        frozenset({c}) for c in range(topology.ncpus)]
+def build_domains(cpu: int, topology: "Topology",
+                  tunables: "CfsTunables") -> list[SchedDomain]:
+    """Build the non-degenerate domain chain for one CPU, smallest
+    first.  A domain's groups are the partition of its span by the next
+    finer (non-degenerate) level; the finest partition is single CPUs.
+    """
+    return [SchedDomain(*row)
+            for row in domain_blueprint(topology, tunables).rows[cpu]]
+
+
+def _make_blueprint(topology: "Topology",
+                    tunables: "CfsTunables") -> DomainBlueprint:
+    """Walk every CPU's chain once, numbering each distinct group."""
+    singletons = [frozenset({c}) for c in range(topology.ncpus)]
+    index: dict[frozenset[int], int] = {}
+    rows = []
+    for cpu in range(topology.ncpus):
+        chain = []
+        for row in _domain_rows(cpu, topology, tunables, singletons):
+            groups = row[3]
+            ids = tuple(index.setdefault(g, len(index)) for g in groups)
+            local_id = next(gid for gid, g in zip(ids, groups) if cpu in g)
+            chain.append(row + (ids, local_id))
+        rows.append(tuple(chain))
+    cpu_groups: list[list[int]] = [[] for _ in range(topology.ncpus)]
+    for gid, group in enumerate(index):
+        for cpu in group:
+            cpu_groups[cpu].append(gid)
+    return DomainBlueprint(tuple(rows), tuple(index),
+                           tuple(map(tuple, cpu_groups)))
+
+
+def _domain_rows(cpu: int, topology: "Topology", tunables: "CfsTunables",
+                 singletons: list[frozenset[int]]) -> list[tuple]:
+    """The uncached walk behind :func:`domain_blueprint`: one CPU's
+    chain as ``SchedDomain`` constructor rows without the group ids.
+    ``singletons`` is the finest partition, shared by every CPU's walk
+    so that equal groups are the same object."""
+    rows: list[tuple] = []
+    child_partition = singletons
     prev_span: frozenset[int] = frozenset({cpu})
     level_idx = 0
     for level in topology.levels:
@@ -109,15 +153,9 @@ def _build_domains(cpu: int, topology: "Topology",
                         and not span <= topology.node_of(cpu))
         pct = (tunables.imbalance_pct_numa if crosses_numa
                else tunables.imbalance_pct_llc)
-        domains.append(SchedDomain(
-            cpu=cpu,
-            name=level.name,
-            span=span,
-            groups=groups,
-            interval_ns=tunables.balance_interval_ns * (2 ** level_idx),
-            imbalance_pct=pct,
-        ))
+        rows.append((cpu, level.name, span, groups,
+                     tunables.balance_interval_ns * (2 ** level_idx), pct))
         prev_span = span
         child_partition = list(level.groups)
         level_idx += 1
-    return domains
+    return rows

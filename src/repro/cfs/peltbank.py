@@ -28,34 +28,23 @@ from .pelt import (HALF_LIFE_NS, _DECAY_CACHE, _DECAY_CACHE_MAX, _LN2,
 
 
 def fold_loads_python(avgs, weights, now):
-    """Fold one bank: returns ``(load, saturated, min_last_update)``.
-
-    ``load`` is the weighted sum of the decayed averages at ``now``;
-    ``saturated`` says every average sat at the fixed point (so the
-    caller may memo the sum as time-invariant) and ``min_last_update``
-    is the stalest clock among those saturated terms.
-    """
+    """Fold one bank: the weighted sum of the decayed averages at
+    ``now``."""
     load = 0.0
-    saturated = True
-    min_lu = now
     exp = math.exp
     decay_cache = _DECAY_CACHE
     cache_get = decay_cache.get
     sat_point = _SATURATED
     half_life = HALF_LIFE_NS
     for avg, weight in zip(avgs, weights):
-        lu = avg.last_update
-        delta = now - lu
+        delta = now - avg.last_update
         u = avg.util_avg
         if u >= sat_point and delta < half_life:
             # saturated fixed point, d >= 0.5: the decayed value is u
             # itself, bit-for-bit (see pelt._SATURATED)
             load += u * weight
-            if lu < min_lu:
-                min_lu = lu
         elif delta <= 0:
             load += u * weight
-            saturated = False
         else:
             d = cache_get(delta)
             if d is None:
@@ -65,5 +54,4 @@ def fold_loads_python(avgs, weights, now):
                     decay_cache.clear()
                 decay_cache[delta] = d
             load += (u * d + (1.0 - d)) * weight
-            saturated = False
-    return load, saturated, min_lu
+    return load

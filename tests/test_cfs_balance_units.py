@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cfs.balance import can_migrate_task, load_balance
+from repro.cfs.balance import (MEMO_HORIZON_NS, can_migrate_task,
+                                load_balance)
 from repro.core import Engine, Run, Sleep, ThreadSpec, run_forever
 from repro.core.clock import msec, sec, usec
 from repro.core.topology import opteron_6172, smp
@@ -160,8 +161,8 @@ def _fold_calls(sched, monkeypatch):
 
 def test_weight_bound_skips_balanced_pass(monkeypatch):
     """2 vs 2 saturated spinners: the remote cpu's runnable weight
-    (2048) cannot clear the 117% gate against the local load, so the
-    pass returns before folding the remote cpu."""
+    (2048) cannot clear the 117% gate against the local group's
+    projected load, so the pass returns without folding anything."""
     eng, _ = _spinner_engine((2, 2), msec(300))
     sched = eng.scheduler
     core = eng.machine.cores[0]
@@ -170,24 +171,111 @@ def test_weight_bound_skips_balanced_pass(monkeypatch):
     calls = _fold_calls(sched, monkeypatch)
     assert load_balance(sched, core, domain, idle=False) == 0
     assert domain.nr_balance_failed == 0
-    assert calls == [frozenset({0})]
+    assert calls == []
 
 
-def test_weight_bound_falls_through_during_ramp_up(monkeypatch):
-    """5 ms after spawn PELT is still ramping: the remote weight (one
-    nice-0 task, 1024) clears the bound against the local load of
-    ~210, so the span is folded, and the exact loads (~105 vs ~210)
-    then show nothing to move."""
-    eng, _ = _spinner_engine((2, 1), msec(5))
+def _group(sched, domain, cpus):
+    """The shared :class:`GroupLoad` of ``domain``'s group ``cpus``."""
+    for gid in domain.group_ids:
+        group = sched.group_loads[gid]
+        if group.cpus == frozenset(cpus):
+            return group
+    raise LookupError(cpus)
+
+
+def test_pass_without_memo_folds_span(monkeypatch):
+    """3 ms after spawn no pass has run yet, so no group has a memo:
+    the remote weight (one nice-0 task, 1024) clears the bound against
+    the local load of ~130, so the span is folded, the exact loads
+    show nothing to move, and both groups are memoed."""
+    eng, _ = _spinner_engine((2, 1), msec(3))
     sched = eng.scheduler
     core = eng.machine.cores[0]
     domain = sched.cpurq(core).domains[0]
+    assert all(group.deficit is None for group in sched.group_loads)
     domain.nr_balance_failed = 3
     calls = _fold_calls(sched, monkeypatch)
     assert load_balance(sched, core, domain, idle=False) == 0
     assert domain.nr_balance_failed == 0
     assert calls == [frozenset({0}), domain.span]
     assert sched.cpu_load(1) < sched.cpu_load(0)
+    for cpu in (0, 1):
+        assert _group(sched, domain, {cpu}).t0 == eng.now
+        assert _group(sched, domain, {cpu}).deficit is not None
+
+
+def test_ramp_up_pass_proven_from_memos(monkeypatch):
+    """5 ms after spawn PELT is still ramping, so the runnable weight
+    alone proves nothing (1024 against a local load of ~210), but the
+    memos cpu 0's 4 ms pass left project both loads: the pass returns
+    without any fold."""
+    eng, _ = _spinner_engine((2, 1), msec(5))
+    sched = eng.scheduler
+    core = eng.machine.cores[0]
+    domain = sched.cpurq(core).domains[0]
+    remote = _group(sched, domain, {1})
+    assert remote.weight > sched.cpu_load(0)
+    assert remote.t0 == msec(4)
+    domain.nr_balance_failed = 3
+    calls = _fold_calls(sched, monkeypatch)
+    assert load_balance(sched, core, domain, idle=False) == 0
+    assert domain.nr_balance_failed == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("change", ["enqueue", "dequeue", "renice"])
+def test_runnable_change_drops_group_memo(change):
+    """An enqueue, a dequeue or a renice on any cpu of a group drops
+    the group's memo; groups not holding that cpu keep theirs."""
+    eng = Engine(smp(4, cpus_per_llc=2), scheduler_factory("cfs"), seed=51)
+    threads = {cpu: pinned_spinners(eng, 2, cpu) for cpu in range(4)}
+    eng.run(until=msec(30))
+    sched = eng.scheduler
+    core = eng.machine.cores[0]
+    machine = sched.cpurq(core).domains[-1]
+    for group in sched.group_loads:
+        group.deficit = None
+    load_balance(sched, core, machine, idle=False)
+    near = _group(sched, machine, {0, 1})
+    far = _group(sched, machine, {2, 3})
+    assert near.deficit is not None and far.deficit is not None
+    queued = next(t for t in threads[2] if not t.is_running)
+    if change == "enqueue":
+        eng.spawn(ThreadSpec("new", spin, app="app",
+                             affinity=frozenset({3})))
+    elif change == "dequeue":
+        # leaves cpu 2 (a dequeue is all that touches cpus 2-3) and is
+        # enqueued on cpu 0, which drops the near memo too
+        eng.set_affinity(queued, {0})
+    else:
+        eng.set_nice(queued, 5)
+    assert far.deficit is None
+    assert far.bounds(eng.now) is None
+    assert (near.deficit is None) == (change == "dequeue")
+
+
+def test_no_memo_in_the_instant_of_a_renice():
+    """A renice leaves the cpu's per-instant load cache as it was, so a
+    fold later in the same instant may read the pre-renice load: the
+    group takes no memo until a later instant."""
+    eng, threads = _spinner_engine((2, 1), msec(3))
+    sched = eng.scheduler
+    core = eng.machine.cores[0]
+    domain = sched.cpurq(core).domains[0]
+    load_balance(sched, core, domain, idle=False)
+    local = _group(sched, domain, {0})
+    assert local.deficit is not None
+    eng.set_nice(threads[0], 5)
+    load_balance(sched, core, domain, idle=False)
+    assert local.deficit is None
+
+
+def test_memo_older_than_horizon_is_ignored():
+    eng, _ = _spinner_engine((2, 2), msec(20))
+    group = eng.scheduler.group_loads[0]
+    group.t0, group.deficit = eng.now, 0.0
+    assert group.bounds(eng.now + MEMO_HORIZON_NS) is not None
+    assert group.bounds(eng.now + MEMO_HORIZON_NS + 1) is None
 
 
 def test_imbalanced_pass_migrates_as_before():

@@ -53,29 +53,12 @@ def _bank(seed, n, now):
 def test_python_fold_matches_sequential_peek(seed, n):
     now = 10 * HALF_LIFE_NS
     avgs, weights = _bank(seed, n, now)
-    load, saturated, min_lu = fold_loads_python(avgs, weights, now)
+    load = fold_loads_python(avgs, weights, now)
     expected = 0.0
     for avg in avgs:
         expected += avg.peek(now, True)  # peek returns u * weight
     assert load == expected  # bit-identical, not approximately
-    assert min_lu <= now
-
-
-def test_saturated_flag_only_when_every_term_is_invariant():
-    now = 10 * HALF_LIFE_NS
-    sat = LoadAvg()
-    sat.util_avg = 1.0
-    sat.last_update = now - HALF_LIFE_NS // 2
-    _, saturated, min_lu = fold_loads_python([sat], (1024,), now)
-    assert saturated
-    assert min_lu == sat.last_update
-    ramping = LoadAvg()
-    ramping.util_avg = 0.5
-    ramping.last_update = now - HALF_LIFE_NS // 2
-    _, saturated, _ = fold_loads_python([sat, ramping], (1024, 1024),
-                                        now)
-    assert not saturated
 
 
 def test_empty_bank_folds_to_zero():
-    assert fold_loads_python([], (), 123) == (0.0, True, 123)
+    assert fold_loads_python([], (), 123) == 0.0

@@ -210,6 +210,45 @@ def test_catches_cfs_group_weight_corruption():
     assert exc_info.value.invariant == "cfs-group-weight"
 
 
+def _spinner_cfs_engine():
+    """Sanitized 2-cpu CFS engine with two spinners per cpu: no
+    enqueue or dequeue after spawn, so balancing-group memos live."""
+    engine = make_engine("cfs")
+    for cpu in (0, 1):
+        SpinnerWorkload(count=2, pin_cpu=cpu).launch(engine, at=0)
+    return engine
+
+
+def test_catches_cfs_group_weight_drift():
+    """The balancer's no-op proof bounds a group's load by its W_g."""
+    engine = _spinner_cfs_engine()
+
+    def corrupt():
+        engine.scheduler.group_loads[0].weight += 1
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(5))
+    assert exc_info.value.invariant == "cfs-group-load"
+    assert "W_g" in str(exc_info.value)
+
+
+def test_catches_cfs_group_deficit_corruption():
+    """A memo whose projection no longer brackets the exact load."""
+    engine = _spinner_cfs_engine()
+
+    def corrupt():
+        group = engine.scheduler.group_loads[0]
+        group.t0 = engine.now
+        group.deficit = float(group.weight)  # claims a load of 0
+
+    inject(engine, msec(10), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(20))
+    assert exc_info.value.invariant == "cfs-group-load"
+    assert "projected bounds" in str(exc_info.value)
+
+
 def test_pelt_upper_bound_is_exact():
     """One ulp above 1.0 is already a violation: the weight bound
     needs ``util_avg <= 1`` with no slack."""
