@@ -484,7 +484,7 @@ class Sanitizer:
                 tdq.timeshare.check_invariants()
             except AssertionError as exc:
                 self._fail("ule-runq-structure",
-                           f"cpu{cpu} runqueue bitmap/deque invariant "
+                           f"cpu{cpu} runqueue bitmap/FIFO invariant "
                            f"violated: {exc}", cpu=cpu)
         if loaded != ule._nr_loaded:
             self._fail("ule-nr-loaded",

@@ -86,9 +86,6 @@ class UleScheduler(SchedClass):
         #: per-cpu tdq list (``core.rq`` is bound once at engine init
         #: and never replaced); built lazily on first use
         self._tdqs: Optional[list] = None
-        #: whether the timeshare queues are rotating calendars (so the
-        #: tick can advance them without a per-tick hasattr probe)
-        self._calendar = self.tunables.timeshare_calendar
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -298,8 +295,7 @@ class UleScheduler(SchedClass):
             self.tunables, hist, nice)
         state.prio_inputs = hist.runtime, hist.sleeptime, nice
         tdq: Tdq = core.rq
-        if self._calendar:
-            tdq.timeshare.advance()
+        tdq.timeshare.advance()
         state.ticks_used += 1
         # sched_clock compares the used ticks against the *current*
         # load-adjusted slice, so the effective slice shrinks the

@@ -62,10 +62,6 @@ class UleTunables:
     #: it (tdq_notify IPI path).  Local wakeups never preempt user
     #: threads — the behaviour the paper describes in §5.3/§6.4.
     remote_interactive_preempt: bool = True
-    #: use FreeBSD's rotating calendar queue for the batch
-    #: (timeshare) class instead of plain priority FIFOs — bounds how
-    #: long any batch thread can wait behind other *batch* threads
-    timeshare_calendar: bool = True
     #: number of runq priority levels
     nqueues: int = 64
     #: interactive priorities occupy [0, interact_prio_max]

@@ -82,21 +82,17 @@ def sched_pickcpu(sched: "UleScheduler", thread: "SimThread",
                                 [c for c in cpus if c in allowed])
                 break
         if affine_group:
-            found, n = _search_lowpri(sched, affine_group, pri)
-            scanned += n
-            choice = found
+            choice = _search_lowpri(tdqs, affine_group, pri)[0]
+            scanned += len(affine_group)
 
     if choice is None:
-        # 3. retry over the whole machine.
-        found, n = _search_lowpri(sched, allowed, pri)
-        scanned += n
-        choice = found
-
-    if choice is None:
-        # 4. the least loaded core.
+        # 3. retry over the whole machine; 4. failing that, the least
+        # loaded core, found by the same pass (and billed as a rescan).
+        choice, least = _search_lowpri(tdqs, allowed, pri)
         scanned += len(allowed)
-        choice = min(allowed,
-                     key=lambda c: (tdqs[c].load, c))
+        if choice is None:
+            scanned += len(allowed)
+            choice = least
 
     _charge_scan(sched, thread, waker, scanned)
     return choice
@@ -110,19 +106,27 @@ def _all_cpus(sched: "UleScheduler", ncpus: int) -> list:
     return cpus
 
 
-def _search_lowpri(sched: "UleScheduler", cpus, pri: int):
-    """Find the least-loaded CPU whose best queued priority is worse
-    than ``pri`` (i.e. the thread would run immediately)."""
-    best = None
-    best_load = None
-    tdqs = sched.tdqs()
+def _search_lowpri(tdqs: list, cpus, pri: int):
+    """One pass over ``cpus``: the least-loaded CPU whose best queued
+    priority is worse than ``pri`` (i.e. the thread would run
+    immediately), and the least-loaded CPU overall; ties go to the
+    first in ``cpus`` order.
+
+    A CPU whose load cannot beat the best qualifying one skips the
+    priority test, and a qualifying empty CPU ends the pass — nothing
+    beats load 0 (the overall answer is then unused)."""
+    found = found_load = least = least_load = None
     for cpu in cpus:
         tdq = tdqs[cpu]
-        if tdq.lowest_priority() > pri:
-            load = tdq.load
-            if best is None or load < best_load:
-                best, best_load = cpu, load
-    return best, len(cpus)
+        load = tdq.load
+        if least is None or load < least_load:
+            least, least_load = cpu, load
+        if ((found is None or load < found_load)
+                and tdq.lowest_priority() > pri):
+            found, found_load = cpu, load
+            if load == 0:
+                break
+    return found, least
 
 
 def _charge_scan(sched: "UleScheduler", thread: "SimThread",

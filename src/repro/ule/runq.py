@@ -4,11 +4,14 @@ Insertion appends to the FIFO indexed by the thread's priority; picking
 takes the head of the highest-priority (lowest index) non-empty FIFO.
 The occupancy bitmap makes find-first-set O(1), exactly like the
 kernel's ``runq_choose``.
+
+The FIFOs are plain lists: an empty list costs 56 bytes against an
+empty ``deque``'s 760 (128 FIFOs per cpu), and ``pop(0)`` on a FIFO of
+a few hundred threads is one short memmove.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..core.errors import SchedulerError
@@ -24,7 +27,7 @@ class RunQueue:
 
     def __init__(self, nqueues: int = 64):
         self.nqueues = nqueues
-        self._queues: list[deque] = [deque() for _ in range(nqueues)]
+        self._queues: list[list] = [[] for _ in range(nqueues)]
         self._bitmap = 0
         #: queued threads (read directly on the tick path)
         self.count = 0
@@ -43,7 +46,7 @@ class RunQueue:
             raise SchedulerError(f"priority {priority} out of range")
         queue = self._queues[priority]
         if at_head:
-            queue.appendleft(thread)
+            queue.insert(0, thread)
         else:
             queue.append(thread)
         self._bitmap |= 1 << priority
@@ -73,18 +76,11 @@ class RunQueue:
         if pri is None:
             return None
         queue = self._queues[pri]
-        thread = queue.popleft()
+        thread = queue.pop(0)
         if not queue:
             self._bitmap &= ~(1 << pri)
         self.count -= 1
         return thread
-
-    def peek(self) -> Optional["SimThread"]:
-        """Head of the best non-empty FIFO without removing it."""
-        pri = self.first_priority()
-        if pri is None:
-            return None
-        return self._queues[pri][0]
 
     def threads(self) -> Iterator["SimThread"]:
         """All queued threads, best priority first, FIFO order within."""
@@ -139,7 +135,7 @@ class CalendarRunQueue:
 
     def __init__(self, nbuckets: int = 64):
         self.nbuckets = nbuckets
-        self._buckets: list[deque] = [deque() for _ in range(nbuckets)]
+        self._buckets: list[list] = [[] for _ in range(nbuckets)]
         #: queued threads (read directly on the tick path)
         self.count = 0
         #: rotating insertion origin (advanced by the tick)
@@ -178,7 +174,7 @@ class CalendarRunQueue:
         if at_head:
             # preempted threads resume from the removal point
             bucket = self.remove_idx
-            self._buckets[bucket].appendleft(thread)
+            self._buckets[bucket].insert(0, thread)
         else:
             self._buckets[bucket].append(thread)
         self._bucket_of[thread.tid] = bucket
@@ -210,18 +206,12 @@ class CalendarRunQueue:
         idx = self._first_occupied()
         self.remove_idx = idx
         bucket = self._buckets[idx]
-        thread = bucket.popleft()
+        thread = bucket.pop(0)
         self._bucket_of.pop(thread.tid, None)
         if not bucket:
             self._bitmap &= ~(1 << idx)
         self.count -= 1
         return thread
-
-    def peek(self) -> Optional["SimThread"]:
-        """Next thread the calendar would pop, without removing it."""
-        if self.count == 0:
-            return None
-        return self._buckets[self._first_occupied()][0]
 
     def first_priority(self) -> Optional[int]:
         """Distance of the first occupied bucket from the removal

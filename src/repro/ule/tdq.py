@@ -34,10 +34,7 @@ class Tdq:
         self.cpu = cpu
         self.tunables = tunables
         self.realtime = RunQueue(tunables.nqueues)
-        if tunables.timeshare_calendar:
-            self.timeshare = CalendarRunQueue(tunables.nqueues)
-        else:
-            self.timeshare = RunQueue(tunables.nqueues)
+        self.timeshare = CalendarRunQueue(tunables.nqueues)
         #: runnable threads on this CPU including the running one
         self.load = 0
         #: the core this tdq belongs to (set by the scheduler)
@@ -92,16 +89,22 @@ class Tdq:
 
     def lowest_priority(self) -> int:
         """The best (numerically lowest) priority present, counting the
-        running thread; ``nqueues`` when the CPU is idle."""
-        best = self.tunables.nqueues
-        pri = self.realtime.first_priority()
-        if pri is not None:
-            best = min(best, pri)
-        ts = self.timeshare.first_priority()
-        if ts is not None:
-            best = min(best, self.tunables.batch_prio_min + ts)
-        if self.core is not None and self.core.current is not None:
-            best = min(best, self.core.current.policy.priority)
+        running thread; ``nqueues`` when the CPU is idle.  Runs for
+        every cpu ``sched_pickcpu`` examines, so it asks a queue only
+        when it holds threads and compares without ``min()``."""
+        tun = self.tunables
+        best = tun.nqueues
+        if self.realtime.count:
+            best = self.realtime.first_priority()
+        if self.timeshare.count:
+            pri = tun.batch_prio_min + self.timeshare.first_priority()
+            if pri < best:
+                best = pri
+        core = self.core
+        if core is not None and core.current is not None:
+            pri = core.current.policy.priority
+            if pri < best:
+                best = pri
         return best
 
     def queued_threads(self) -> Iterator["SimThread"]:

@@ -1,12 +1,15 @@
 """Unit tests for ULE's sched_pickcpu decision ladder."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Engine, Run, Sleep, ThreadSpec, run_forever
 from repro.core.clock import msec, sec, usec
 from repro.core.schedflags import SelectFlags
 from repro.core.topology import smp
 from repro.sched import scheduler_factory
+from repro.ule.placement import sched_pickcpu
 
 
 def spin(ctx):
@@ -117,3 +120,126 @@ def test_fork_balances_by_thread_count_not_load():
     t = eng.spawn(ThreadSpec("fork", spin))
     eng.run(until=sec(1) + msec(50))
     assert t.rq_cpu == 0  # fewer threads, despite the older hog
+
+
+# ----------------------------------------------------------------------
+# sched_pickcpu against a brute-force oracle
+# ----------------------------------------------------------------------
+
+def _oracle_lowest_priority(tdq):
+    """The best priority on ``tdq`` as a plain ``min`` over every
+    queued thread (calendar threads at their bucket's distance from
+    the removal index) and the running one."""
+    tun = tdq.tunables
+    cal = tdq.timeshare
+    prios = [tun.nqueues]
+    prios += [t.policy.queued_priority for t in tdq.realtime.threads()]
+    prios += [tun.batch_prio_min
+              + (cal._bucket_of[t.tid] - cal.remove_idx) % cal.nbuckets
+              for t in cal.threads()]
+    if tdq.core.current is not None:
+        prios.append(tdq.core.current.policy.priority)
+    return min(prios)
+
+
+def _oracle_pickcpu(sched, thread):
+    """§2.2's ladder written out step by step, each search a ``min``
+    over the cpus that pass; returns (choice, cores scanned)."""
+    tun = sched.tunables
+    machine = sched.machine
+    tdqs = sched.tdqs()
+    allowed = [c for c in range(len(machine))
+               if thread.allows_cpu(c) and machine.cores[c].online]
+    allowed = allowed or machine.online_cpus()
+    if len(allowed) == 1:
+        return allowed[0], 0
+    now, last, pri = sched.engine.now, thread.cpu, thread.policy.priority
+
+    def search(cpus):
+        ok = [c for c in cpus if _oracle_lowest_priority(tdqs[c]) > pri]
+        return min(ok, key=lambda c: (tdqs[c].load, c)) if ok else None
+
+    choice, scanned = None, 0
+    if (last is not None and last in allowed
+            and now - thread.last_ran < tun.affinity_ns):
+        scanned += 1
+        if _oracle_lowest_priority(tdqs[last]) > pri:
+            choice = last
+    if choice is None and last is not None:
+        for idx, (_, _, cpus) in enumerate(
+                sched.topology.levels_above_sorted(last)):
+            if now - thread.last_ran < tun.affinity_ns * 2 ** idx:
+                group = [c for c in cpus if c in allowed]
+                if group:
+                    choice = search(group)
+                    scanned += len(group)
+                break
+    if choice is None:
+        choice = search(allowed)
+        scanned += len(allowed)
+    if choice is None:
+        scanned += len(allowed)
+        choice = min(allowed, key=lambda c: (tdqs[c].load, c))
+    return choice, scanned
+
+
+#: (runtime, sleeptime) seeds: strongly interactive, mildly
+#: interactive, batch, and no history
+_HISTORIES = [(0, sec(4)), (sec(1), sec(1) + sec(1) // 10),
+              (sec(4), 0), None]
+
+
+def _napper(ctx):
+    while True:
+        yield Run(msec(3))
+        yield Sleep(msec(2))
+
+
+def _dormant(ctx):
+    yield Sleep(sec(100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_pickcpu_matches_oracle(data):
+    """On random ULE states — per-cpu loads, realtime and timeshare
+    threads at mixed priorities, running threads, affinity masks, one
+    offlined core — ``sched_pickcpu``'s choice, ``ule.pickcpu_scans``
+    and ``sched.overhead_ns`` equal the oracle's, and every tdq's
+    ``lowest_priority`` equals a plain min."""
+    ncpus = data.draw(st.sampled_from([2, 4, 6, 8]))
+    cpus = list(range(ncpus))
+    cost = data.draw(st.integers(1, usec(5)))
+    eng = Engine(smp(ncpus, cpus_per_llc=2), scheduler_factory(
+        "ule", pickcpu_scan_cost_ns=cost), seed=data.draw(st.integers(0, 9)))
+    sched = eng.scheduler
+    masks = st.one_of(st.none(), st.frozensets(
+        st.sampled_from(cpus), min_size=1))
+    for i in range(data.draw(st.integers(0, 3 * ncpus))):
+        history = data.draw(st.sampled_from(_HISTORIES))
+        eng.spawn(ThreadSpec(
+            f"w{i}", data.draw(st.sampled_from([spin, _napper])),
+            affinity=data.draw(masks),
+            tags={} if history is None else {"ule_history": history}))
+    probe = eng.spawn(ThreadSpec("probe", _dormant))
+    eng.run(until=msec(data.draw(st.integers(1, 40))))
+    if data.draw(st.booleans()):
+        eng.offline_core(data.draw(st.sampled_from(cpus)))
+
+    for tdq in sched.tdqs():
+        assert tdq.lowest_priority() == _oracle_lowest_priority(tdq)
+
+    aff = sched.tunables.affinity_ns
+    probe.cpu = data.draw(st.one_of(st.none(), st.sampled_from(cpus)))
+    probe.last_ran = eng.now - data.draw(st.sampled_from(
+        [0, aff - 1, aff, 2 * aff - 1, 2 * aff, 4 * aff - 1, 4 * aff]))
+    probe.affinity = data.draw(masks)
+    probe.policy.priority = data.draw(st.integers(0, 63))
+
+    want, scanned = _oracle_pickcpu(sched, probe)
+    scans = eng.metrics.counter("ule.pickcpu_scans")
+    overhead = eng.metrics.counter("sched.overhead_ns")
+    assert sched_pickcpu(sched, probe, None) == want
+    assert eng.metrics.counter("ule.pickcpu_scans") - scans == scanned
+    assert (eng.metrics.counter("sched.overhead_ns") - overhead
+            == scanned * cost)
