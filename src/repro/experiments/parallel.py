@@ -144,8 +144,9 @@ def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
     checkpoint records finished cells even when the process is killed
     mid-attempt.  Uses a pool whenever ``timeout_s`` is set (a hung
     cell cannot be interrupted in-process) or ``jobs`` asks for
-    parallelism; the pool is torn down afterwards, which also kills
-    any worker stuck past its timeout.
+    parallelism.  Afterwards the pool shuts down gracefully once
+    every cell has finished, and is terminated only when a cell
+    timed out, which also kills the worker stuck past its timeout.
     """
     successes: dict[int, Any] = {}
     failures: dict[int, tuple] = {}
@@ -187,13 +188,18 @@ def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
                         pool.apply_async(_call, ((fn, cell),)))
                        for index, cell in remaining]
             uncollected = []
+            settled = True
             for index, cell, handle in handles:
                 if broken is not None:
+                    # let the in-flight cell finish; it re-runs anyway
+                    handle.wait(timeout_s)
+                    settled = settled and handle.ready()
                     uncollected.append((index, cell))
                     continue
                 try:
                     result = handle.get(timeout_s)
                 except multiprocessing.TimeoutError:
+                    settled = False
                     failures[index] = ("timeout", "")
                 except Exception as exc:
                     if _is_pool_failure(exc):
@@ -204,6 +210,14 @@ def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
                             "error", f"{type(exc).__name__}: {exc}")
                 else:
                     collect(index, result)
+            if settled:
+                # Every worker is idle: shut down gracefully.  The
+                # terminate() on leaving the block SIGTERMs the live
+                # workers, and one killed while taking the result
+                # queue's lock leaves the pool's task handler blocked
+                # on it for good, so the teardown hangs.
+                pool.close()
+                pool.join()
         if broken is None:
             break
         remaining = uncollected

@@ -384,3 +384,28 @@ def test_broken_pool_cells_checkpoint_after_respawn(tmp_path):
                        checkpoint=ck)
     assert results == [0, 2, 4]
     assert all(ck.get(cell) == cell[1] * 2 for cell in cells)
+
+
+def _log_run(cell):
+    """Append one line per finished run; the first cell breaks the
+    pool at once while the second is still running."""
+    log, value = cell
+    if value == 0 and not os.path.exists(log + ".broke"):
+        open(log + ".broke", "w").close()
+        raise BrokenProcessPool("worker died")
+    time.sleep(0.3)
+    with open(log, "a") as fh:
+        fh.write(f"{value}\n")
+    return value
+
+
+def test_broken_pool_lets_in_flight_cells_finish_before_teardown(tmp_path):
+    # Killing a worker mid-cell can catch it taking the result
+    # queue's lock, which hangs the pool's teardown; so the cell in
+    # flight runs to its end (and re-runs on the fresh pool).
+    log = str(tmp_path / "runs.log")
+    results = cell_map(_log_run, [(log, 0), (log, 1)], jobs=2,
+                       timeout_s=60, mark_failures=True)
+    assert results == [0, 1]
+    with open(log) as fh:
+        assert sorted(fh.read().split()) == ["0", "1", "1"]
