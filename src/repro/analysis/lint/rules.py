@@ -186,9 +186,10 @@ DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     # line carries a sha256 and load() skips+compacts corrupt lines
     "nonatomic-write": ("repro/experiments/checkpoint.py",),
     # host-side process orchestration, not simulation: lease
-    # heartbeat deadlines and SIGKILL/waitpid loops time *real*
-    # processes — there is no engine.now to use
+    # heartbeat deadlines, per-cell pool timeouts and SIGKILL/waitpid
+    # loops time *real* processes — there is no engine.now to use
     "wall-clock": ("repro/experiments/shard.py",
+                   "repro/experiments/parallel.py",
                    "repro/faults/__main__.py"),
 }
 

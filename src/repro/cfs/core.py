@@ -39,6 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.machine import Core
     from ..core.thread import SimThread
 
+#: hoisted singleton flag members.  Every caller passes exactly one
+#: member, so identity tests stand in for ``flags & X`` without the
+#: per-call Flag arithmetic (as in ``Engine._enqueue``).
+_ENQ_MIGRATE = EnqueueFlags.MIGRATE
+_ENQ_NEW = EnqueueFlags.NEW
+_ENQ_WAKEUP = EnqueueFlags.WAKEUP
+_DEQ_SLEEP = DequeueFlags.SLEEP
+_DEQ_MIGRATE = DequeueFlags.MIGRATE
+_SEL_FORK = SelectFlags.FORK
+
 
 class CfsTaskState:
     """Per-thread CFS state (hangs off ``thread.policy``)."""
@@ -250,11 +260,11 @@ class CfsScheduler(SchedClass):
         state = self.state_of(thread)
         se = state.se
         rq = state.group.rq_on(cpu)
-        if flags & EnqueueFlags.MIGRATE:
+        if flags is _ENQ_MIGRATE:
             se.vruntime += rq.min_vruntime
-        elif flags & EnqueueFlags.NEW:
+        elif flags is _ENQ_NEW:
             rq.place_entity(se, initial=True)
-        elif flags & EnqueueFlags.WAKEUP:
+        elif flags is _ENQ_WAKEUP:
             rq.place_entity(se, initial=False)
         rq.enqueue_entity(se)
         rq.h_nr_running += 1
@@ -276,13 +286,13 @@ class CfsScheduler(SchedClass):
         cpu = core.index
         state = self.state_of(thread)
         se = state.se
-        if flags & DequeueFlags.SLEEP:
+        if flags is _DEQ_SLEEP:
             se.avg.update(self.engine.now, True)
         rq = state.group.rq_on(cpu)
         rq.dequeue_entity(se)
         rq.h_nr_running -= 1
         self._reweight(cpu, -se.weight)
-        if flags & DequeueFlags.MIGRATE:
+        if flags is _DEQ_MIGRATE:
             se.vruntime -= rq.min_vruntime
         for group in self._group_path(state.group):
             gse = group.entity_on(cpu)
@@ -407,7 +417,7 @@ class CfsScheduler(SchedClass):
     def select_task_rq(self, thread: "SimThread", flags: SelectFlags,
                        waker: Optional["SimThread"] = None) -> int:
         return placement.select_task_rq_fair(
-            self, thread, is_fork=bool(flags & SelectFlags.FORK),
+            self, thread, is_fork=flags is _SEL_FORK,
             waker=waker)
 
     # ------------------------------------------------------------------

@@ -5,6 +5,10 @@ paper's Table 1 discussion hinges on: Linux distinguishes a wakeup
 enqueue from a fork enqueue with a flag, which is how the port maps one
 Linux entry point onto FreeBSD's two (``sched_add`` vs
 ``sched_wakeup``).
+
+Every caller passes exactly one member, never a combination, so the
+hot paths test flags by identity (``flags is X``) instead of paying
+for ``Flag.__and__``.
 """
 
 from __future__ import annotations

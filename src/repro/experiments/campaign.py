@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .cellcache import CellCache
 from .checkpoint import CampaignCheckpoint
 from .parallel import FailedCell, cell_map
-from .registry import run_experiment
+from .registry import QUICK_EVENTS, run_experiment
 from .store import DEFAULT_DIR as DEFAULT_STORE_DIR
 
 REPORT_HEADER = ("# Reproduction report\n"
@@ -39,6 +39,14 @@ def run_campaign_cell(cell: dict) -> dict:
                             seed=cell["seed"])
     return {"experiment": cell["experiment"], "claim": result.claim,
             "text": result.text}
+
+
+def cell_cost(cell: dict) -> int:
+    """A cell's dispatch hint: its experiment's quick-mode event
+    count (:data:`~repro.experiments.registry.QUICK_EVENTS`).  A
+    pool submits the costliest cells first, so the longest one does
+    not run alone at the end while the other workers idle."""
+    return QUICK_EVENTS.get(cell["experiment"], 0)
 
 
 def build_cells(names: Sequence[str], quick: bool,
@@ -143,7 +151,8 @@ def run_campaign(names: Sequence[str], quick: bool = True,
                            backoff_s=backoff_s,
                            reseed=reseed_cell if reseed else None,
                            mark_failures=True, checkpoint=checkpoint,
-                           cache=None if reseed else cache)
+                           cache=None if reseed else cache,
+                           cost=cell_cost)
     if not any(isinstance(r, FailedCell) for r in results):
         if checkpoint is not None:
             checkpoint.clear()

@@ -8,8 +8,8 @@ own seed), so they parallelize perfectly across worker processes.
 Determinism is preserved by construction:
 
 * the cell list is built in a stable order before any work starts;
-* results come back *in submission order* regardless of completion
-  order;
+* results come back *in cell order* regardless of submission or
+  completion order;
 * each cell's seed is part of the cell itself, never derived from
   worker identity or timing.
 
@@ -56,8 +56,10 @@ worker-crash tolerance with leases and work stealing, see
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
+import queue
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -96,6 +98,11 @@ def _call(payload):
     """Pool trampoline: unpack ``(fn, cell)`` and apply."""
     fn, cell = payload
     return fn(cell)
+
+
+def _deadline(timeout_s: Optional[float]) -> float:
+    """The monotonic deadline of a cell starting now."""
+    return math.inf if timeout_s is None else time.monotonic() + timeout_s
 
 
 class FailedCell:
@@ -140,7 +147,8 @@ def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
 
     Returns ``(successes, failures)``: index-keyed result and
     ``(reason, error)`` dicts.  ``on_success(index, result)`` fires as
-    each result is collected — NOT at the end of the attempt — so a
+    each cell finishes, in completion order — NOT at the end of the
+    attempt, nor behind a longer cell submitted earlier — so a
     checkpoint records finished cells even when the process is killed
     mid-attempt.  Uses a pool whenever ``timeout_s`` is set (a hung
     cell cannot be interrupted in-process) or ``jobs`` asks for
@@ -184,32 +192,58 @@ def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
         broken = None
         with multiprocessing.Pool(processes=nproc,
                                   initializer=_warm_worker) as pool:
-            handles = [(index, cell,
-                        pool.apply_async(_call, ((fn, cell),)))
-                       for index, cell in remaining]
-            uncollected = []
+            # Results are collected as they finish, not in submission
+            # order, so a short cell reaches on_success without
+            # waiting behind a longer one submitted before it.
+            done: queue.SimpleQueue = queue.SimpleQueue()
+            handles = [pool.apply_async(
+                _call, ((fn, cell),),
+                callback=lambda r, pos=pos: done.put((pos, r, None)),
+                error_callback=lambda e, pos=pos: done.put((pos, None, e)))
+                for pos, (_index, cell) in enumerate(remaining)]
+            # The pool starts cells in submission order, one per free
+            # worker, so a cell's timeout runs from the moment the
+            # cell ahead of it settles (finishes or times out).
+            # ``clocks`` maps each cell presumed running to its
+            # deadline; deadlines grow in insertion order, so the
+            # first entry is the earliest.
+            clocks = {pos: _deadline(timeout_s) for pos in range(nproc)}
+            started = nproc
             settled = True
-            for index, cell, handle in handles:
-                if broken is not None:
+            while clocks and broken is None:
+                first = next(iter(clocks))
+                wait = None if timeout_s is None else max(
+                    0.0, clocks[first] - time.monotonic())
+                try:
+                    pos, result, exc = done.get(timeout=wait)
+                except queue.Empty:
+                    pos = first
+                    settled = False
+                    failures[remaining[pos][0]] = ("timeout", "")
+                else:
+                    if pos not in clocks:
+                        continue  # a timed-out cell finished late
+                    index = remaining[pos][0]
+                    if exc is None:
+                        collect(index, result)
+                    elif _is_pool_failure(exc):
+                        broken = exc
+                    else:
+                        failures[index] = (
+                            "error", f"{type(exc).__name__}: {exc}")
+                del clocks[pos]
+                if started < len(remaining):
+                    clocks[started] = _deadline(timeout_s)
+                    started += 1
+            uncollected = []
+            if broken is not None:
+                for (index, cell), handle in zip(remaining, handles):
+                    if index in successes or index in failures:
+                        continue
                     # let the in-flight cell finish; it re-runs anyway
                     handle.wait(timeout_s)
                     settled = settled and handle.ready()
                     uncollected.append((index, cell))
-                    continue
-                try:
-                    result = handle.get(timeout_s)
-                except multiprocessing.TimeoutError:
-                    settled = False
-                    failures[index] = ("timeout", "")
-                except Exception as exc:
-                    if _is_pool_failure(exc):
-                        broken = exc
-                        uncollected.append((index, cell))
-                    else:
-                        failures[index] = (
-                            "error", f"{type(exc).__name__}: {exc}")
-                else:
-                    collect(index, result)
             if settled:
                 # Every worker is idle: shut down gracefully.  The
                 # terminate() on leaving the block SIGTERMs the live
@@ -236,7 +270,8 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
              reseed: Optional[Callable[[Any, int], Any]] = None,
              mark_failures: bool = False,
              checkpoint=None,
-             cache=None) -> list:
+             cache=None,
+             cost: Optional[Callable[[Any], float]] = None) -> list:
     """Apply ``fn`` to every cell, fanning out to ``jobs`` worker
     processes; results come back in cell order.
 
@@ -257,12 +292,17 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     (checkpoint wins when both hold the cell), and every computed
     result is stored.  Since results are plain JSON either way, a
     cache-served sweep is byte-identical to a computed one.
+
+    ``cost(cell)`` estimates a cell's run time.  With more than one
+    worker, cells are submitted costliest first (ties in cell order),
+    so the longest cell does not start last while the other workers
+    idle; results and checkpoint entries are still keyed by cell.
     """
     cells = list(cells)
     if jobs == 0:
         jobs = default_jobs()
     if (timeout_s is None and retries == 0 and not mark_failures
-            and checkpoint is None and cache is None):
+            and checkpoint is None and cache is None and cost is None):
         # The historical plain path, byte-for-byte.
         if jobs is None or jobs <= 1 or len(cells) <= 1:
             return [fn(cell) for cell in cells]
@@ -294,6 +334,8 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
             pending.append(index)
     else:
         pending = list(range(len(cells)))
+    if cost is not None and jobs is not None and jobs > 1:
+        pending.sort(key=lambda index: -cost(cells[index]))
 
     live = {index: cells[index] for index in pending}
     attempts_used = {index: 0 for index in pending}
@@ -310,8 +352,8 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
         on_success = None
         if checkpoint is not None or cache is not None:
             def on_success(index, result):
-                # Flushed per cell, atomically: a SIGKILL between two
-                # cells loses at most the in-flight cell.
+                # Flushed per cell, atomically, as each finishes: a
+                # SIGKILL loses only the cells still in flight.
                 if checkpoint is not None:
                     checkpoint.put(cells[index], result)
                 if cache is not None:
@@ -324,7 +366,7 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
             attempts_used[index] += 1
         for index in fail_info:
             attempts_used[index] += 1
-        pending = sorted(fail_info)
+        pending = [index for index in pending if index in fail_info]
 
     for index in pending:
         reason, error = fail_info[index]

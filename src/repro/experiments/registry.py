@@ -44,6 +44,29 @@ EXPERIMENTS = {
                 "(schedules as data; docs/scheduler-zoo.md)"),
 }
 
+#: experiment id -> engine events its quick mode processes at seed 1,
+#: summed over every ``Engine.run``.  Deterministic, so it ranks the
+#: experiments by cost without timing them: a campaign pool submits
+#: the costliest first.  ``tests/test_experiment_meta.py`` re-measures
+#: them (slow tier).
+QUICK_EVENTS = {
+    "table1": 2,
+    "table2": 71_755,
+    "fig1": 71_755,
+    "fig2": 20_083,
+    "fig3": 59_520,
+    "fig4": 21_888,
+    "fig5": 438_377,
+    "fig6": 588_795,
+    "fig7": 182_353,
+    "fig8": 2_267_456,
+    "fig9": 3_332_821,
+    "i7": 120_683,
+    "sensitivity": 1_218_834,
+    "latency": 56_379,
+    "predict": 13_471,
+}
+
 
 def run_experiment(name: str, quick: bool = True, seed: int = 1,
                    jobs: Optional[int] = None) -> ExperimentResult:

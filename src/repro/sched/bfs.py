@@ -30,6 +30,10 @@ from ..core.clock import msec
 from ..core.schedflags import EnqueueFlags
 from .policy import PolicyScheduler, SchedPolicy
 
+#: hoisted flag member: callers pass exactly one, so identity stands
+#: in for ``flags & MIGRATE`` without the Flag arithmetic
+_ENQ_MIGRATE = EnqueueFlags.MIGRATE
+
 #: BFS's rr_interval: the full-deadline quantum at nice 0
 RR_NS = msec(6)
 
@@ -50,7 +54,7 @@ def _stamp_deadline(sched, state, nice: int) -> None:
 
 
 def _on_enqueue(sched, core, thread, state, flags):
-    if not flags & EnqueueFlags.MIGRATE:
+    if flags is not _ENQ_MIGRATE:
         # A migration (idle pull) keeps the stamped deadline; anything
         # else — wakeup, fork, requeue — earns a fresh one.
         _stamp_deadline(sched, state, thread.nice)

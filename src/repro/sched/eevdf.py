@@ -31,6 +31,11 @@ from ..core.clock import msec
 from ..core.schedflags import EnqueueFlags
 from .policy import PolicyScheduler, SchedPolicy
 
+#: hoisted flag members: callers pass exactly one, so identity stands
+#: in for ``flags & (WAKEUP | NEW)`` without the Flag arithmetic
+_ENQ_WAKEUP = EnqueueFlags.WAKEUP
+_ENQ_NEW = EnqueueFlags.NEW
+
 #: the request slice: how much wall-clock service a thread asks for
 #: per deadline period (vruntime-scaled per thread weight)
 SLICE_NS = msec(3)
@@ -56,7 +61,7 @@ def _queue_min_vruntime(sched, core):
 
 
 def _on_enqueue(sched, core, thread, state, flags):
-    if flags & (EnqueueFlags.WAKEUP | EnqueueFlags.NEW):
+    if flags is _ENQ_WAKEUP or flags is _ENQ_NEW:
         # Placement: a sleeper resumes at least at the queue minimum,
         # so time spent blocked is not banked as unbounded credit.
         floor = _queue_min_vruntime(sched, core)

@@ -64,6 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.machine import Core
     from ..core.thread import SimThread
 
+#: hoisted flag member: callers pass exactly one, so identity stands
+#: in for ``flags & MIGRATE`` without the Flag arithmetic
+_ENQ_MIGRATE = EnqueueFlags.MIGRATE
+
 #: default timeslice when a policy does not supply its own rule
 DEFAULT_SLICE_NS = msec(10)
 
@@ -193,7 +197,7 @@ class PolicyScheduler(SchedClass):
         state = thread.policy
         state.seq = self.next_seq()
         state.enqueued_at = self.engine.now
-        if not flags & EnqueueFlags.MIGRATE:
+        if flags is not _ENQ_MIGRATE:
             state.slice_used = 0
         self._queue_of(core).append(thread)
         hook = self.policy.on_enqueue

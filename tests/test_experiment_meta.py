@@ -6,6 +6,7 @@ import inspect
 import pytest
 
 from repro.experiments import EXPERIMENTS, experiment_claim
+from repro.experiments.registry import QUICK_EVENTS
 from repro.workloads.registry import (ALL_WORKLOADS, FIGURE5_APPS,
                                       FIGURE8_EXTRA)
 
@@ -19,6 +20,36 @@ def test_every_experiment_has_claim_and_run():
         assert "quick" in sig.parameters
         assert "seed" in sig.parameters
         assert description
+
+
+def test_every_experiment_has_a_cost_hint():
+    assert set(QUICK_EVENTS) == set(EXPERIMENTS)
+    assert all(isinstance(v, int) and v > 0
+               for v in QUICK_EVENTS.values())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_cost_hint_within_2x_of_measured_events(name, monkeypatch):
+    """Re-measure the quick-mode seed-1 event count the campaign's
+    dispatch order ranks by, so a stale hint cannot go unnoticed."""
+    from repro.core.engine import Engine
+    from repro.experiments.registry import run_experiment
+
+    total = [0]
+    run = Engine.run
+
+    def counting(self, *args, **kwargs):
+        before = self.events_processed
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            total[0] += self.events_processed - before
+
+    monkeypatch.setattr(Engine, "run", counting)
+    run_experiment(name, quick=True, seed=1)
+    hint = QUICK_EVENTS[name]
+    assert hint / 2 <= total[0] <= hint * 2, (name, total[0], hint)
 
 
 def test_experiment_claims_accessible():

@@ -72,3 +72,34 @@ def test_registry_ignores_jobs_for_serial_only_drivers():
     # rather than TypeError into the driver.
     result = run_experiment("table1", quick=True, seed=1, jobs=4)
     assert result.rows
+
+
+def test_campaign_pool_submits_longest_first_and_matches_serial(
+        monkeypatch):
+    """A ``--jobs 2`` campaign submits its cells in descending
+    cost-hint order yet renders the serial run's report byte for
+    byte."""
+    import multiprocessing.pool
+
+    from repro.experiments.campaign import render_report, run_campaign
+    from repro.experiments.registry import QUICK_EVENTS
+
+    names = ["table1", "fig2", "predict", "fig4"]
+    serial = render_report(*run_campaign(names, quick=True, seed=1))
+
+    submitted = []
+    apply_async = multiprocessing.pool.Pool.apply_async
+
+    def recording(self, func, args=(), kwds={}, callback=None,
+                  error_callback=None):
+        submitted.append(args[0][1]["experiment"])
+        return apply_async(self, func, args, kwds, callback,
+                           error_callback)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
+                        recording)
+    fanned = render_report(*run_campaign(names, quick=True, seed=1,
+                                         jobs=2))
+    assert submitted == ["fig4", "fig2", "predict", "table1"]
+    assert submitted == sorted(names, key=lambda n: -QUICK_EVENTS[n])
+    assert fanned == serial

@@ -171,6 +171,43 @@ def test_cell_key_is_canonical_json():
     assert cell_key(1) != cell_key("1")
 
 
+def _await_journal_entry(cell):
+    """The slow cell waits (bounded) for the fast cell's checkpoint
+    line to reach the journal, and reports whether it did."""
+    kind, path, other = cell
+    if kind == "fast":
+        return True
+    key = cell_key(other)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except OSError:
+            lines = []
+        for line in lines:
+            try:
+                if json.loads(line).get("cell") == key:
+                    return True
+            except ValueError:
+                pass  # a line caught mid-append
+        time.sleep(0.01)
+    return False
+
+
+def test_checkpoint_lands_in_completion_order(tmp_path):
+    # A fast cell submitted behind a slow one must reach the
+    # checkpoint while the slow one is still running: a kill in that
+    # window loses only the in-flight cell.
+    path = str(tmp_path / "ck.jsonl")
+    fast = ("fast", path, None)
+    slow = ("slow", path, fast)
+    ck = CampaignCheckpoint(path, meta={})
+    results = cell_map(_await_journal_entry, [slow, fast], jobs=2,
+                       checkpoint=ck)
+    assert results == [True, True]
+
+
 # ------------------------------------------------------- campaign wiring
 
 
