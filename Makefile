@@ -14,9 +14,11 @@ COVER_MIN ?= 80
 	bench-shard bench-profile
 
 ## tier-1 test suite (the gate every PR must keep green); pyproject
-## addopts exclude @pytest.mark.slow tests — see `make test-all`
+## addopts exclude @pytest.mark.slow tests — see `make test-all`.
+## Every run lists its 15 slowest tests, so `make verify` and CI show
+## where tier-1's time goes
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 ## the full suite including the slow example/fig-sweep tests
 test-all:

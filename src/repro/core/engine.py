@@ -614,7 +614,11 @@ class Engine:
             if completion is not None:  # _cancel_completion, inlined
                 completion.cancel()
                 core.completion_event = None
-            self._update_curr(core)
+            # a tick that just charged this instant left nothing to
+            # account (_update_curr would stop at delta == 0)
+            if core.current is None \
+                    or core._curr_account_start != self.now:
+                self._update_curr(core)
             core.need_resched = False
             incumbent = core.current
             nxt = self.scheduler.pick_next(core)
@@ -629,28 +633,43 @@ class Engine:
                     continue  # thread blocked or exited: pick again
             if core.need_resched:
                 continue
-            self._arm_completion(core)
+            if thread.run_remaining is not RUN_FOREVER:
+                # a thread that runs forever has no completion to arm
+                self._arm_completion(core)
             return
 
     def _switch_to(self, core: Core, prev: Optional[SimThread],
                    nxt: Optional[SimThread]) -> None:
-        core.account_to_now()
+        now = self.now
+        # core.account_to_now(), inlined (per switch)
+        delta = now - core._last_account
+        if delta > 0:
+            if core.current is None:
+                core.idle_ns += delta
+            else:
+                core.busy_ns += delta
+            core._last_account = now
         counters = self.metrics.counters
+        tracer = self.tracer
         if prev is not None and prev.state is ThreadState.RUNNING:
             prev.state = ThreadState.RUNNABLE
-            prev.wait_start = self.now
+            prev.wait_start = now
             prev.nr_preemptions += 1
             counters["engine.preemptions"] += 1.0
-            hooks = self.tracer.on_preempt
+            hooks = tracer.on_preempt
             if hooks:
                 Tracer._fire(hooks, core, prev, nxt)
         core.current = nxt
         core.nr_switches += 1
         counters["engine.switches"] += 1.0
-        if nxt is not None and core.tick_stopped:
-            # A parked core gained a running thread: NO_HZ exit.
-            self._restart_tick(core)
-        if nxt is not None:
+        core.curr_started_at = now
+        core._curr_account_start = now
+        if nxt is None:
+            core._curr_speed = 1.0
+        else:
+            if core.tick_stopped:
+                # A parked core gained a running thread: NO_HZ exit.
+                self._restart_tick(core)
             if nxt.rq_cpu != core.index:
                 raise SimulationError(
                     f"picked {nxt} from rq {nxt.rq_cpu} on core "
@@ -659,20 +678,18 @@ class Engine:
             nxt.cpu = core.index
             nxt.nr_switches += 1
             if nxt.wait_start is not None:
-                nxt.total_waittime += self.now - nxt.wait_start
+                nxt.total_waittime += now - nxt.wait_start
                 nxt.wait_start = None
-        core.curr_started_at = self.now
-        core._curr_account_start = self.now
-        # _speed_of's unit-speed early-out, inlined (per switch)
-        core._curr_speed = 1.0 if (nxt is None or
-                                   self.machine.corun_slowdown == 1.0) \
-            else self._speed_of(core)
-        if self.ctx_switch_cost_ns and nxt is not None \
-                and prev is not nxt:
-            if nxt.run_remaining not in (None, RUN_FOREVER):
-                nxt.run_remaining += self.ctx_switch_cost_ns
-            core.sched_overhead_ns += self.ctx_switch_cost_ns
-        hooks = self.tracer.on_switch
+            # _speed_of's unit-speed early-out, inlined (per switch)
+            core._curr_speed = 1.0 \
+                if self.machine.corun_slowdown == 1.0 \
+                else self._speed_of(core)
+            cost = self.ctx_switch_cost_ns
+            if cost and prev is not nxt:
+                if nxt.run_remaining not in (None, RUN_FOREVER):
+                    nxt.run_remaining += cost
+                core.sched_overhead_ns += cost
+        hooks = tracer.on_switch
         if hooks:
             Tracer._fire(hooks, core, prev, nxt)
 
@@ -695,7 +712,12 @@ class Engine:
         core._curr_account_start = now
         if delta <= 0:
             return
-        core.account_to_now()
+        # core.account_to_now(), inlined: a thread is running, so the
+        # elapsed time is busy time
+        busy = now - core._last_account
+        if busy > 0:
+            core.busy_ns += busy
+            core._last_account = now
         thread.total_runtime += delta
         thread.last_ran = now
         remaining = thread.run_remaining
@@ -907,7 +929,12 @@ class Engine:
         if curr is not None:
             self._update_curr(core)
             scheduler.task_tick(core)
-            # The co-run speed factor may have changed; refresh timer.
+            # Re-arm the run-completion timer.  Below unit speed,
+            # _update_curr truncates progress (int(delta * speed)), so
+            # the deadline can move.  At speed 1.0 it cannot; the
+            # repost only renews the event's sequence number, which
+            # orders same-instant events (and so is pinned by the
+            # schedule digests).
             if core.need_resched:
                 self._dispatch(core)
             elif core.completion_event is not None:

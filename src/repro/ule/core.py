@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from ..core.errors import SchedulerError
 from ..core.schedflags import DequeueFlags, EnqueueFlags, SelectFlags
 from ..core.thread import ThreadState
 from ..sched.base import SchedClass
@@ -242,30 +243,76 @@ class UleScheduler(SchedClass):
     def pick_next(self, core: "Core") -> Optional["SimThread"]:
         tdq: Tdq = core.rq
         prev = core.current
-        if prev is not None and prev.state is ThreadState.RUNNING:
-            # Put the incumbent back at the tail of its FIFO with a
-            # current priority (sched_switch; is_running and
-            # _update_priority inlined — this runs on every pick).
-            # After a tick-driven resched its history is what the tick
-            # just scored, so the tick's priority is reused.
-            state = prev.policy
-            hist = state.hist
-            inputs = hist.runtime, hist.sleeptime, prev.nice
-            if inputs != state.prio_inputs:
-                state.priority, state.interactive = compute_priority(
-                    self.tunables, hist, prev.nice)
-                state.prio_inputs = inputs
-            tdq.add(prev)
-        else:
-            prev = None
-        nxt = tdq.choose()
-        if nxt is None and prev is None:
-            stolen = balance.idle_steal(self, core)
-            if stolen is not None:
+        if prev is None or prev.state is not ThreadState.RUNNING:
+            nxt = tdq.choose()
+            if nxt is None:
+                if balance.idle_steal(self, core) is None:
+                    return None
                 nxt = tdq.choose()
-        if nxt is None:
-            return None
-        nxt.policy.ticks_used = 0  # state_of, inlined
+                if nxt is None:
+                    return None
+            nxt.policy.ticks_used = 0  # state_of, inlined
+            return nxt
+        # Put the incumbent back at the tail of its FIFO with a current
+        # priority and choose (sched_switch; is_running and
+        # _update_priority inlined — this runs on every pick).  After a
+        # tick-driven resched its history is what the tick just scored,
+        # so the tick's priority is reused.
+        state = prev.policy
+        hist = state.hist
+        inputs = hist.runtime, hist.sleeptime, prev.nice
+        tun = self.tunables
+        if inputs != state.prio_inputs:
+            state.priority, state.interactive = compute_priority(
+                tun, hist, prev.nice)
+            state.prio_inputs = inputs
+        if state.interactive or tdq.realtime.count:
+            tdq.add(prev)
+            nxt = tdq.choose()
+            nxt.policy.ticks_used = 0
+            return nxt
+        # A batch incumbent and no realtime thread: Tdq.add then
+        # Tdq.choose, both on the calendar, in one pass (the switch
+        # of an all-batch core).  The incumbent's bucket joins the
+        # bitmap the first occupied bucket is found on; when that is
+        # its own, otherwise empty bucket the incumbent is picked
+        # again without touching the bucket list.  Every field ends as
+        # add + choose leave it (tests/test_ule_calendar.py).
+        pri = state.priority - tun.batch_prio_min
+        if pri < 0:
+            pri = 0
+        elif pri > tun.nqueues - 1:
+            pri = tun.nqueues - 1
+        ts = tdq.timeshare
+        nbuckets = ts.nbuckets
+        if not 0 <= pri < nbuckets:
+            raise SchedulerError(f"priority {pri} out of range")
+        state.queued_interactive = False
+        state.queued_priority = pri
+        bucket = (ts.insert_idx + pri) % nbuckets
+        bitmap = ts._bitmap | (1 << bucket)
+        r = ts.remove_idx
+        rotated = ((bitmap >> r) | (bitmap << (nbuckets - r))) & ts._mask
+        idx = (r + (rotated & -rotated).bit_length() - 1) % nbuckets
+        ts.remove_idx = idx
+        buckets = ts._buckets
+        queue = buckets[idx]
+        if idx == bucket and not queue:
+            state.queued = False
+            state.ticks_used = 0
+            return prev
+        buckets[bucket].append(prev)
+        nxt = queue.pop(0)
+        bucket_of = ts._bucket_of
+        bucket_of[prev.tid] = bucket
+        bucket_of.pop(nxt.tid, None)
+        if not queue:
+            bitmap &= ~(1 << idx)
+        ts._bitmap = bitmap
+        state.queued = True
+        nxt_state = nxt.policy
+        nxt_state.queued = False
+        nxt_state.ticks_used = 0
         return nxt
 
     def yield_task(self, core: "Core") -> None:
@@ -277,8 +324,13 @@ class UleScheduler(SchedClass):
 
     def update_curr(self, core: "Core", thread: "SimThread",
                     delta_ns: int) -> None:
-        # state_of inlined: runs on every accounting point
-        thread.policy.hist.add_runtime(delta_ns)
+        # state_of and SleepRunHistory.add_runtime inlined: runs on
+        # every accounting point
+        if delta_ns > 0:
+            hist = thread.policy.hist
+            runtime = hist.runtime = hist.runtime + delta_ns
+            if runtime + hist.sleeptime >= hist._tun.slp_run_max_ns:
+                hist._decay()
 
     def task_tick(self, core: "Core") -> None:
         thread = core.current
@@ -287,7 +339,8 @@ class UleScheduler(SchedClass):
         # FreeBSD recomputes the running thread's priority every stathz
         # tick (sched_clock), reclassifying it as its history evolves,
         # and rotates the timeshare calendar's insertion origin
-        # (state_of and _update_priority inlined: runs every tick).
+        # (state_of, _update_priority and CalendarRunQueue.advance
+        # inlined: runs every tick).
         state = thread.policy
         hist = state.hist
         nice = thread.nice
@@ -295,7 +348,8 @@ class UleScheduler(SchedClass):
             self.tunables, hist, nice)
         state.prio_inputs = hist.runtime, hist.sleeptime, nice
         tdq: Tdq = core.rq
-        tdq.timeshare.advance()
+        ts = tdq.timeshare
+        ts.insert_idx = (ts.insert_idx + 1) % ts.nbuckets
         state.ticks_used += 1
         # sched_clock compares the used ticks against the *current*
         # load-adjusted slice, so the effective slice shrinks the
@@ -305,7 +359,7 @@ class UleScheduler(SchedClass):
         load = tdq.load
         if state.ticks_used < slices[load if load < top else top]:
             return
-        if tdq.realtime.count or tdq.timeshare.count:
+        if tdq.realtime.count or ts.count:
             core.need_resched = True
         else:
             # Alone on the core: keep running, restart the slice.

@@ -308,3 +308,72 @@ def test_one_priority_computation_per_tick_driven_switch(monkeypatch):
     assert calls["priority"] <= ticks + calls["enqueue"]
     # the schedule is the one recorded before the skip existed
     assert schedule_digest(eng) == "2430503f0aec534c"
+
+
+
+def _count_switch_path_calls(monkeypatch, launch):
+    """Run ``launch(engine)``'s threads on one core for 2000 stathz
+    ticks, counting the calls a tick-driven switch could make."""
+    from repro.ule.core import UleScheduler
+    from repro.ule.runq import CalendarRunQueue
+    from repro.ule.tdq import Tdq
+
+    calls = {}
+
+    def counting(cls, name, key):
+        original = getattr(cls, name)
+        calls[key] = 0
+
+        def counted(self, *args, **kwargs):
+            calls[key] += 1
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(Engine, "_update_curr", "update_curr")
+    counting(UleScheduler, "enqueue_task", "enqueue")
+    counting(Tdq, "add", "tdq_add")
+    counting(CalendarRunQueue, "add", "cal_add")
+    counting(CalendarRunQueue, "choose", "cal_choose")
+    eng = make_engine()
+    launch(eng)
+    ticks = 2000
+    assert eng.run(until=ticks * eng.scheduler.tick_ns) == "deadline"
+    assert eng.metrics.counters["engine.switches"] >= ticks
+    # a tick charges the running thread once: the dispatch it
+    # triggers has nothing left to account at that instant
+    assert calls["update_curr"] <= ticks + calls["enqueue"]
+    return eng, calls
+
+
+def test_tick_driven_switch_is_one_pass(monkeypatch):
+    """The 16 spinners above (interactive throughout: their runtime
+    never outweighs the shell's sleep history they start with)."""
+    from repro.tracing.digest import schedule_digest
+    from repro.workloads import SpinnerWorkload
+
+    eng, calls = _count_switch_path_calls(
+        monkeypatch,
+        lambda eng: SpinnerWorkload(count=16, pin_cpu=None).launch(
+            eng, at=0))
+    assert calls["enqueue"] == 16
+    assert calls["cal_add"] == calls["cal_choose"] == 0
+    assert schedule_digest(eng) == "2430503f0aec534c"
+
+
+def test_batch_tick_driven_switch_skips_the_calendar_calls(monkeypatch):
+    """16 batch spinners of mixed nice: every switch requeues onto the
+    calendar and picks from it, in one pass — the calendar's own
+    add/choose run only for the enqueues and the first (idle) pick."""
+    from repro.tracing.digest import schedule_digest
+
+    def launch(eng):
+        for i in range(16):
+            eng.spawn(ThreadSpec(f"b{i}", spin, nice=(i % 4) * 3,
+                                 tags={"ule_history": (sec(4), 0)}))
+
+    eng, calls = _count_switch_path_calls(monkeypatch, launch)
+    assert calls["enqueue"] == 16
+    assert calls["tdq_add"] == calls["cal_add"] == 16
+    assert calls["cal_choose"] == 1
+    # recorded before the fused requeue-and-choose existed
+    assert schedule_digest(eng) == "92e29b94e8bd3a13"
