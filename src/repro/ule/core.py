@@ -245,13 +245,10 @@ class UleScheduler(SchedClass):
         prev = core.current
         if prev is None or prev.state is not ThreadState.RUNNING:
             nxt = tdq.choose()
-            if nxt is None:
-                if balance.idle_steal(self, core) is None:
-                    return None
+            if nxt is None and balance.idle_steal(self, core) is not None:
                 nxt = tdq.choose()
-                if nxt is None:
-                    return None
-            nxt.policy.ticks_used = 0  # state_of, inlined
+            if nxt is not None:
+                nxt.policy.ticks_used = 0  # state_of, inlined
             return nxt
         # Put the incumbent back at the tail of its FIFO with a current
         # priority and choose (sched_switch; is_running and

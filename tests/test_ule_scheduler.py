@@ -310,7 +310,6 @@ def test_one_priority_computation_per_tick_driven_switch(monkeypatch):
     assert schedule_digest(eng) == "2430503f0aec534c"
 
 
-
 def _count_switch_path_calls(monkeypatch, launch):
     """Run ``launch(engine)``'s threads on one core for 2000 stathz
     ticks, counting the calls a tick-driven switch could make."""
@@ -346,8 +345,10 @@ def _count_switch_path_calls(monkeypatch, launch):
 
 
 def test_tick_driven_switch_is_one_pass(monkeypatch):
-    """The 16 spinners above (interactive throughout: their runtime
-    never outweighs the shell's sleep history they start with)."""
+    """The 16 spinners of the test above.  They stay interactive
+    throughout (their runtime never outweighs the shell's sleep history
+    they start with), so their switches never reach the calendar; the
+    batch test below covers it."""
     from repro.tracing.digest import schedule_digest
     from repro.workloads import SpinnerWorkload
 
