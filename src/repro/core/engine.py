@@ -640,15 +640,8 @@ class Engine:
 
     def _switch_to(self, core: Core, prev: Optional[SimThread],
                    nxt: Optional[SimThread]) -> None:
+        core.account_to_now()
         now = self.now
-        # core.account_to_now(), inlined (per switch)
-        delta = now - core._last_account
-        if delta > 0:
-            if core.current is None:
-                core.idle_ns += delta
-            else:
-                core.busy_ns += delta
-            core._last_account = now
         counters = self.metrics.counters
         tracer = self.tracer
         if prev is not None and prev.state is ThreadState.RUNNING:
@@ -712,12 +705,7 @@ class Engine:
         core._curr_account_start = now
         if delta <= 0:
             return
-        # core.account_to_now(), inlined: a thread is running, so the
-        # elapsed time is busy time
-        busy = now - core._last_account
-        if busy > 0:
-            core.busy_ns += busy
-            core._last_account = now
+        core.account_to_now()
         thread.total_runtime += delta
         thread.last_ran = now
         remaining = thread.run_remaining

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..core.errors import SchedulerError
 from ..core.schedflags import DequeueFlags, EnqueueFlags, SelectFlags
 from ..core.thread import ThreadState
 from ..sched.base import SchedClass
@@ -269,44 +268,17 @@ class UleScheduler(SchedClass):
             nxt.policy.ticks_used = 0
             return nxt
         # A batch incumbent and no realtime thread: Tdq.add then
-        # Tdq.choose, both on the calendar, in one pass (the switch
-        # of an all-batch core).  The incumbent's bucket joins the
-        # bitmap the first occupied bucket is found on; when that is
-        # its own, otherwise empty bucket the incumbent is picked
-        # again without touching the bucket list.  Every field ends as
-        # add + choose leave it (tests/test_ule_calendar.py).
+        # Tdq.choose in one calendar pass (the switch of an all-batch
+        # core; tests/test_ule_calendar.py checks it against them).
         pri = state.priority - tun.batch_prio_min
         if pri < 0:
             pri = 0
         elif pri > tun.nqueues - 1:
             pri = tun.nqueues - 1
-        ts = tdq.timeshare
-        nbuckets = ts.nbuckets
-        if not 0 <= pri < nbuckets:
-            raise SchedulerError(f"priority {pri} out of range")
+        nxt = tdq.timeshare.requeue_choose(prev, pri)
+        state.queued = nxt is not prev
         state.queued_interactive = False
         state.queued_priority = pri
-        bucket = (ts.insert_idx + pri) % nbuckets
-        bitmap = ts._bitmap | (1 << bucket)
-        r = ts.remove_idx
-        rotated = ((bitmap >> r) | (bitmap << (nbuckets - r))) & ts._mask
-        idx = (r + (rotated & -rotated).bit_length() - 1) % nbuckets
-        ts.remove_idx = idx
-        buckets = ts._buckets
-        queue = buckets[idx]
-        if idx == bucket and not queue:
-            state.queued = False
-            state.ticks_used = 0
-            return prev
-        buckets[bucket].append(prev)
-        nxt = queue.pop(0)
-        bucket_of = ts._bucket_of
-        bucket_of[prev.tid] = bucket
-        bucket_of.pop(nxt.tid, None)
-        if not queue:
-            bitmap &= ~(1 << idx)
-        ts._bitmap = bitmap
-        state.queued = True
         nxt_state = nxt.policy
         nxt_state.queued = False
         nxt_state.ticks_used = 0
@@ -321,13 +293,8 @@ class UleScheduler(SchedClass):
 
     def update_curr(self, core: "Core", thread: "SimThread",
                     delta_ns: int) -> None:
-        # state_of and SleepRunHistory.add_runtime inlined: runs on
-        # every accounting point
-        if delta_ns > 0:
-            hist = thread.policy.hist
-            runtime = hist.runtime = hist.runtime + delta_ns
-            if runtime + hist.sleeptime >= hist._tun.slp_run_max_ns:
-                hist._decay()
+        # state_of inlined: runs on every accounting point
+        thread.policy.hist.add_runtime(delta_ns)
 
     def task_tick(self, core: "Core") -> None:
         thread = core.current
@@ -336,8 +303,7 @@ class UleScheduler(SchedClass):
         # FreeBSD recomputes the running thread's priority every stathz
         # tick (sched_clock), reclassifying it as its history evolves,
         # and rotates the timeshare calendar's insertion origin
-        # (state_of, _update_priority and CalendarRunQueue.advance
-        # inlined: runs every tick).
+        # (state_of and _update_priority inlined: runs every tick).
         state = thread.policy
         hist = state.hist
         nice = thread.nice
@@ -345,8 +311,7 @@ class UleScheduler(SchedClass):
             self.tunables, hist, nice)
         state.prio_inputs = hist.runtime, hist.sleeptime, nice
         tdq: Tdq = core.rq
-        ts = tdq.timeshare
-        ts.insert_idx = (ts.insert_idx + 1) % ts.nbuckets
+        tdq.timeshare.advance()
         state.ticks_used += 1
         # sched_clock compares the used ticks against the *current*
         # load-adjusted slice, so the effective slice shrinks the
@@ -356,7 +321,7 @@ class UleScheduler(SchedClass):
         load = tdq.load
         if state.ticks_used < slices[load if load < top else top]:
             return
-        if tdq.realtime.count or ts.count:
+        if tdq.realtime.count or tdq.timeshare.count:
             core.need_resched = True
         else:
             # Alone on the core: keep running, restart the slice.

@@ -149,12 +149,12 @@ class CalendarRunQueue:
         self._bitmap = 0
         self._mask = (1 << nbuckets) - 1
 
-    def _first_occupied(self) -> int:
-        """Index of the first occupied bucket at or after
-        ``remove_idx`` (circularly); caller guarantees ``count > 0``."""
+    def _first_occupied(self, bitmap: int) -> int:
+        """Index of the first bucket set in ``bitmap`` at or after
+        ``remove_idx`` (circularly); caller guarantees ``bitmap != 0``."""
         r = self.remove_idx
-        rotated = ((self._bitmap >> r)
-                   | (self._bitmap << (self.nbuckets - r))) & self._mask
+        rotated = ((bitmap >> r)
+                   | (bitmap << (self.nbuckets - r))) & self._mask
         distance = (rotated & -rotated).bit_length() - 1
         return (r + distance) % self.nbuckets
 
@@ -203,7 +203,7 @@ class CalendarRunQueue:
         same state the walk produces."""
         if self.count == 0:
             return None
-        idx = self._first_occupied()
+        idx = self._first_occupied(self._bitmap)
         self.remove_idx = idx
         bucket = self._buckets[idx]
         thread = bucket.pop(0)
@@ -213,12 +213,42 @@ class CalendarRunQueue:
         self.count -= 1
         return thread
 
+    def requeue_choose(self, thread: "SimThread",
+                       priority: int) -> "SimThread":
+        """:meth:`add` ``thread`` at ``priority`` then :meth:`choose`,
+        in one pass (the switch of an all-batch core).
+
+        The thread's bucket joins the bitmap the first occupied bucket
+        is found on.  When that is its own, otherwise empty bucket the
+        thread is chosen again without touching the bucket list;
+        otherwise it is appended and the head of the first occupied
+        bucket is popped.  Every field ends as add + choose leave it
+        (``count`` is unchanged: one in, one out)."""
+        if not 0 <= priority < self.nbuckets:
+            raise SchedulerError(f"priority {priority} out of range")
+        bucket = (self.insert_idx + priority) % self.nbuckets
+        bitmap = self._bitmap | (1 << bucket)
+        idx = self._first_occupied(bitmap)
+        self.remove_idx = idx
+        queue = self._buckets[idx]
+        if idx == bucket and not queue:
+            return thread
+        self._buckets[bucket].append(thread)
+        nxt = queue.pop(0)
+        bucket_of = self._bucket_of
+        bucket_of[thread.tid] = bucket
+        bucket_of.pop(nxt.tid, None)
+        if not queue:
+            bitmap &= ~(1 << idx)
+        self._bitmap = bitmap
+        return nxt
+
     def first_priority(self) -> Optional[int]:
         """Distance of the first occupied bucket from the removal
         index — the calendar's notion of 'best'."""
         if self.count == 0:
             return None
-        return (self._first_occupied()
+        return (self._first_occupied(self._bitmap)
                 - self.remove_idx) % self.nbuckets
 
     def advance(self) -> None:
