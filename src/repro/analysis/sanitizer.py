@@ -21,7 +21,8 @@ scheduler invariants after *every* dispatched event:
   balancing group's runnable weight exact and its decayed-load memo
   bracketing the group's exact load.
 * **ULE** — ``tdq.load`` equal to queued threads plus the running one,
-  never negative; the ``_nr_loaded`` steal-threshold counter exact;
+  never negative; the ``_nr_loaded`` steal-threshold counter and the
+  ``_idle_mask`` of empty tdqs exact;
   the running thread never also marked queued; per-queue bitmap
   invariants; interactivity history never negative; every queued
   thread's priority current for its history and nice.
@@ -436,6 +437,7 @@ class Sanitizer:
     def _ule_invariants(self) -> None:
         ule = self._ule
         loaded = 0
+        idle_mask = 0
         for core in self.engine.machine.cores:
             tdq = core.rq
             cpu = core.index
@@ -453,6 +455,8 @@ class Sanitizer:
                            f"{expected}", cpu=cpu)
             if tdq.load >= ule.tunables.steal_thresh:
                 loaded += 1
+            if tdq.load == 0:
+                idle_mask |= 1 << cpu
             current = core.current
             if current is not None and ule.state_of(current).queued:
                 self._fail("ule-running-queued",
@@ -491,3 +495,9 @@ class Sanitizer:
                        f"_nr_loaded={ule._nr_loaded} but {loaded} "
                        f"tdq(s) are at/above steal_thresh="
                        f"{ule.tunables.steal_thresh}")
+        if idle_mask != ule._idle_mask:
+            wrong = idle_mask ^ ule._idle_mask
+            cpus = [c for c in range(wrong.bit_length()) if wrong >> c & 1]
+            self._fail("ule-idle-mask",
+                       f"_idle_mask disagrees with tdq.load == 0 on "
+                       f"cpu(s) {cpus}")

@@ -16,6 +16,7 @@ path (machine-wide idlest CPU).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..core.clock import NSEC_PER_SEC
@@ -23,6 +24,8 @@ from ..core.clock import NSEC_PER_SEC
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.thread import SimThread
     from .core import CfsScheduler
+
+_H_NR_RUNNING = attrgetter("h_nr_running")
 
 
 def record_wakee(waker_state, wakee: "SimThread", now: int) -> None:
@@ -64,6 +67,12 @@ def select_task_rq_fair(sched: "CfsScheduler", thread: "SimThread",
     cores = machine.cores
     if thread.affinity is None and machine.nr_offline == 0:
         allowed = range(len(cores))
+        if is_fork:
+            # An empty cpu's key (0.0, 0, cpu) is the least possible,
+            # so the slow path's answer is the first empty cpu.
+            weights = sched.runnable_weight
+            if 0 in weights:
+                return weights.index(0)
     else:
         allowed = [c for c in range(len(cores))
                    if thread.allows_cpu(c) and cores[c].online]
@@ -124,9 +133,35 @@ def select_idle_sibling(sched: "CfsScheduler", thread: "SimThread",
 def find_idlest_cpu(sched: "CfsScheduler", allowed: Sequence[int]) -> int:
     """The slow path: the allowed CPU with the smallest load, breaking
     ties by queued-thread count (fresh forks all have zero PELT load,
-    so pure load comparison would pile them onto one CPU)."""
+    so pure load comparison would pile them onto one CPU), then by
+    the lower cpu number.
+
+    The answer is the minimum of ``(cpu_load, h_nr_running, cpu)``.
+    The kernel finds it by walking the domains group by group, a cost
+    the model does not bill; the simulator's own cost is the host's.
+    Over every cpu it uses C-level ``min``/``count``/``index`` on the
+    ``loads_for`` memo list (then complete) and reads ``h_nr_running``
+    only of the cpus tied at the least load.  An unrestricted fork
+    never gets here while a cpu is empty: ``select_task_rq_fair``
+    answers with the first cpu whose ``runnable_weight`` is 0."""
     loads = sched.loads_for(allowed)
     rqs = sched.root_group.cfs_rqs
+    if len(allowed) == len(loads):
+        least = min(loads)
+        ties = loads.count(least)
+        if ties == len(loads):
+            # every cpu ties on load: the fewest queued threads wins
+            queued = list(map(_H_NR_RUNNING, rqs))
+            return queued.index(min(queued))
+        # visit only the cpus tied at the minimum, in ascending order
+        best = cpu = loads.index(least)
+        best_nr = rqs[cpu].h_nr_running
+        for _ in range(ties - 1):
+            cpu = loads.index(least, cpu + 1)
+            nr = rqs[cpu].h_nr_running
+            if nr < best_nr:
+                best, best_nr = cpu, nr
+        return best
     best = min(((loads[cpu], rqs[cpu].h_nr_running, cpu)
                 for cpu in allowed), default=None)
     return best[2] if best is not None else 0

@@ -105,12 +105,22 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
     pairs = PAIRS if not quick else PAIRS
     labels = []
     series = {"cfs_multi": [], "ule_single": [], "ule_multi": []}
+    # (scheduler, app factory) -> its performance alone; a run is
+    # deterministic per seed, and sysbench is alone in two pairs
+    alone: dict = {}
+
+    def run_alone(sched, factory):
+        key = (sched, factory)
+        if key not in alone:
+            alone[key] = _run_alone(sched, factory, seed=seed)
+        return alone[key]
+
     for name_a, fa, name_b, fb, kind in pairs:
         # baselines: each app alone on CFS (the figure's reference)
-        base_a = _run_alone("cfs", fa, seed=seed)
-        base_b = _run_alone("cfs", fb, seed=seed)
-        ule_alone_a = _run_alone("ule", fa, seed=seed)
-        ule_alone_b = _run_alone("ule", fb, seed=seed)
+        base_a = run_alone("cfs", fa)
+        base_b = run_alone("cfs", fb)
+        ule_alone_a = run_alone("ule", fa)
+        ule_alone_b = run_alone("ule", fb)
         cfs_a, cfs_b = _run_pair("cfs", [fa, fb], seed=seed)
         ule_a, ule_b = _run_pair("ule", [fa, fb], seed=seed)
         for label, base, ule_single, cfs_m, ule_m in (

@@ -60,7 +60,7 @@ QUICK_EVENTS = {
     "fig6": 588_795,
     "fig7": 182_353,
     "fig8": 2_267_456,
-    "fig9": 3_332_821,
+    "fig9": 3_084_693,
     "i7": 120_683,
     "sensitivity": 1_218_834,
     "latency": 56_379,

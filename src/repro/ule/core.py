@@ -83,6 +83,11 @@ class UleScheduler(SchedClass):
         #: number of tdqs at or above ``steal_thresh`` load — O(1)
         #: backing for :meth:`needs_tick`'s steal-poll superset
         self._nr_loaded = 0
+        #: bitmask of the cpus whose tdq holds nothing (bit ``cpu`` set
+        #: while ``tdq.load == 0``), kept beside ``_nr_loaded``; an
+        #: unrestricted ``sched_pickcpu`` answers its machine-wide
+        #: search from it while any cpu idles
+        self._idle_mask = 0
         #: per-cpu tdq list (``core.rq`` is bound once at engine init
         #: and never replaced); built lazily on first use
         self._tdqs: Optional[list] = None
@@ -94,6 +99,7 @@ class UleScheduler(SchedClass):
     def init_core(self, core: "Core") -> Tdq:
         tdq = Tdq(core.index, self.tunables)
         tdq.core = core
+        self._idle_mask |= 1 << core.index
         return tdq
 
     def tdq_of(self, cpu: int) -> Tdq:
@@ -222,7 +228,10 @@ class UleScheduler(SchedClass):
         tdq: Tdq = core.rq
         tdq.add(thread)
         tdq.load += 1
-        if tdq.load == self.tunables.steal_thresh:
+        load = tdq.load
+        if load == 1:
+            self._idle_mask &= ~(1 << core.index)
+        if load == self.tunables.steal_thresh:
             self._nr_loaded += 1
 
     def dequeue_task(self, core: "Core", thread: "SimThread",
@@ -232,7 +241,10 @@ class UleScheduler(SchedClass):
         if state.queued:
             tdq.rem(thread)
         tdq.load -= 1
-        if tdq.load == self.tunables.steal_thresh - 1:
+        load = tdq.load
+        if load == 0:
+            self._idle_mask |= 1 << core.index
+        if load == self.tunables.steal_thresh - 1:
             self._nr_loaded -= 1
 
     # ------------------------------------------------------------------

@@ -34,6 +34,13 @@ def sched_pickcpu(sched: "UleScheduler", thread: "SimThread",
     masks the scan with the online CPU set; a mask with no online CPU
     falls back to the whole online machine (the engine breaks affinity
     on the drain path the same way).
+
+    The ``scanned`` count billed to ``ule.pickcpu_scans`` and
+    ``sched.overhead_ns`` is the *model's* cost: the cores the
+    kernel's scan examines.  The simulator may reach the same answer
+    without visiting them: step 3 of an unrestricted thread on a fully
+    online machine reads the lowest idle cpu off
+    ``UleScheduler._idle_mask`` and is billed the full pass.
     """
     tun = sched.tunables
     machine = sched.machine
@@ -62,14 +69,12 @@ def sched_pickcpu(sched: "UleScheduler", thread: "SimThread",
     scanned = 0
     pri = thread.policy.priority
     choice = None
-    tdqs = sched.tdqs()
 
     # 1. cache affinity on the last core.
     if last is not None and (unrestricted or last in allowed):
         if now - thread.last_ran < tun.affinity_ns:
             scanned += 1
-            if tdqs[last].lowest_priority() > pri:
-                choice = last
+            choice = _search_lowpri(sched, (last,), pri)[0]
 
     if choice is None and last is not None:
         # 2. the highest affine topology level around the last core.
@@ -82,17 +87,24 @@ def sched_pickcpu(sched: "UleScheduler", thread: "SimThread",
                                 [c for c in cpus if c in allowed])
                 break
         if affine_group:
-            choice = _search_lowpri(tdqs, affine_group, pri)[0]
+            choice = _search_lowpri(sched, affine_group, pri)[0]
             scanned += len(affine_group)
 
     if choice is None:
         # 3. retry over the whole machine; 4. failing that, the least
         # loaded core, found by the same pass (and billed as a rescan).
-        choice, least = _search_lowpri(tdqs, allowed, pri)
         scanned += len(allowed)
-        if choice is None:
-            scanned += len(allowed)
-            choice = least
+        idle = sched._idle_mask
+        if unrestricted and idle and pri < tun.nqueues:
+            # The pass would stop at the lowest-numbered idle cpu: an
+            # idle tdq's best priority is ``nqueues`` and no load
+            # beats 0.  Billed as the full pass all the same.
+            choice = (idle & -idle).bit_length() - 1
+        else:
+            choice, least = _search_lowpri(sched, allowed, pri)
+            if choice is None:
+                scanned += len(allowed)
+                choice = least
 
     _charge_scan(sched, thread, waker, scanned)
     return choice
@@ -106,26 +118,53 @@ def _all_cpus(sched: "UleScheduler", ncpus: int) -> list:
     return cpus
 
 
-def _search_lowpri(tdqs: list, cpus, pri: int):
+def _search_lowpri(sched: "UleScheduler", cpus, pri: int):
     """One pass over ``cpus``: the least-loaded CPU whose best queued
     priority is worse than ``pri`` (i.e. the thread would run
     immediately), and the least-loaded CPU overall; ties go to the
     first in ``cpus`` order.
 
+    A tdq's best priority is the lowest of its realtime queue's first,
+    its calendar's first (offset into the batch band) and its running
+    thread's, and ``nqueues`` when it holds nothing (load 0).  The test
+    stops at the first of them at or better than ``pri``, so a busy
+    cpu is usually ruled out by its running thread alone.
+
     A CPU whose load cannot beat the best qualifying one skips the
     priority test, and a qualifying empty CPU ends the pass — nothing
     beats load 0 (the overall answer is then unused)."""
+    tdqs = sched.tdqs()
+    tun = sched.tunables
+    idle_runs_first = tun.nqueues > pri
+    # realtime priorities at or better than ``pri``: bits 0..pri
+    rt_blocks = (2 << pri) - 1
+    # a calendar thread sits in the batch band, so it can only be at
+    # or better than a batch ``pri``
+    batch_min = tun.batch_prio_min
+    batch_blocks = pri >= batch_min
     found = found_load = least = least_load = None
     for cpu in cpus:
         tdq = tdqs[cpu]
         load = tdq.load
         if least is None or load < least_load:
             least, least_load = cpu, load
-        if ((found is None or load < found_load)
-                and tdq.lowest_priority() > pri):
-            found, found_load = cpu, load
-            if load == 0:
+        if found is not None and load >= found_load:
+            continue
+        if load == 0:
+            if idle_runs_first:
+                found = cpu
                 break
+            continue
+        curr = tdq.core.current
+        if curr is not None and curr.policy.priority <= pri:
+            continue
+        if tdq.realtime.bitmap & rt_blocks:
+            continue
+        if batch_blocks:
+            queue = tdq.timeshare
+            if queue.count and batch_min + queue.first_priority() <= pri:
+                continue
+        found, found_load = cpu, load
     return found, least
 
 

@@ -23,12 +23,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RunQueue:
     """Priority-indexed FIFOs with an occupancy bitmap."""
 
-    __slots__ = ("nqueues", "_queues", "_bitmap", "count")
+    __slots__ = ("nqueues", "_queues", "bitmap", "count")
 
     def __init__(self, nqueues: int = 64):
         self.nqueues = nqueues
         self._queues: list[list] = [[] for _ in range(nqueues)]
-        self._bitmap = 0
+        #: occupancy: bit ``p`` set while FIFO ``p`` holds a thread
+        #: (read directly by ``sched_pickcpu``'s scan)
+        self.bitmap = 0
         #: queued threads (read directly on the tick path)
         self.count = 0
 
@@ -49,7 +51,7 @@ class RunQueue:
             queue.insert(0, thread)
         else:
             queue.append(thread)
-        self._bitmap |= 1 << priority
+        self.bitmap |= 1 << priority
         self.count += 1
 
     def remove(self, thread: "SimThread", priority: int) -> None:
@@ -61,14 +63,14 @@ class RunQueue:
             raise SchedulerError(
                 f"{thread} not queued at priority {priority}") from None
         if not queue:
-            self._bitmap &= ~(1 << priority)
+            self.bitmap &= ~(1 << priority)
         self.count -= 1
 
     def first_priority(self) -> Optional[int]:
         """Lowest occupied priority index (best), or None when empty."""
-        if self._bitmap == 0:
+        if self.bitmap == 0:
             return None
-        return (self._bitmap & -self._bitmap).bit_length() - 1
+        return (self.bitmap & -self.bitmap).bit_length() - 1
 
     def choose(self) -> Optional["SimThread"]:
         """Pop the head of the best non-empty FIFO."""
@@ -78,13 +80,13 @@ class RunQueue:
         queue = self._queues[pri]
         thread = queue.pop(0)
         if not queue:
-            self._bitmap &= ~(1 << pri)
+            self.bitmap &= ~(1 << pri)
         self.count -= 1
         return thread
 
     def threads(self) -> Iterator["SimThread"]:
         """All queued threads, best priority first, FIFO order within."""
-        bitmap = self._bitmap
+        bitmap = self.bitmap
         while bitmap:
             pri = (bitmap & -bitmap).bit_length() - 1
             bitmap &= bitmap - 1
@@ -94,7 +96,7 @@ class RunQueue:
         """First queued thread whose affinity permits ``cpu``, in
         :meth:`threads` order — the balancer's steal scan, without the
         generator machinery (it runs on every idle poll)."""
-        bitmap = self._bitmap
+        bitmap = self.bitmap
         queues = self._queues
         while bitmap:
             pri = (bitmap & -bitmap).bit_length() - 1
@@ -109,7 +111,7 @@ class RunQueue:
         """Validate bitmap/count consistency (used by tests)."""
         count = 0
         for pri, queue in enumerate(self._queues):
-            bit = bool(self._bitmap & (1 << pri))
+            bit = bool(self.bitmap & (1 << pri))
             assert bit == bool(queue), f"bitmap wrong at {pri}"
             count += len(queue)
         assert count == self.count

@@ -87,26 +87,6 @@ class Tdq:
         """Threads sitting in the FIFOs (the running one excluded)."""
         return self.realtime.count + self.timeshare.count
 
-    def lowest_priority(self) -> int:
-        """The best (numerically lowest) priority present, counting the
-        running thread; ``nqueues`` when the CPU is idle.  Runs for
-        every cpu ``sched_pickcpu`` examines, so it asks a queue only
-        when it holds threads and compares without ``min()``."""
-        tun = self.tunables
-        best = tun.nqueues
-        if self.realtime.count:
-            best = self.realtime.first_priority()
-        if self.timeshare.count:
-            pri = tun.batch_prio_min + self.timeshare.first_priority()
-            if pri < best:
-                best = pri
-        core = self.core
-        if core is not None and core.current is not None:
-            pri = core.current.policy.priority
-            if pri < best:
-                best = pri
-        return best
-
     def queued_threads(self) -> Iterator["SimThread"]:
         """FIFO-queued threads, best priority first (running thread not
         included)."""

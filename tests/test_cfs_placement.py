@@ -1,11 +1,13 @@
 """Unit tests for CFS wake placement heuristics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Engine, Run, Sleep, ThreadSpec, run_forever
 from repro.core.clock import msec, sec
 from repro.core.topology import smp
-from repro.cfs.placement import record_wakee, wake_wide
+from repro.cfs.placement import record_wakee, select_task_rq_fair, wake_wide
 from repro.sched import scheduler_factory
 from repro.sync import Channel
 
@@ -126,3 +128,92 @@ def test_fork_spreads_to_idle_cpus():
     ts = [eng.spawn(ThreadSpec(f"s{i}", spin)) for i in range(4)]
     eng.run(until=msec(100))
     assert {t.cpu for t in ts} == {0, 1, 2, 3}
+
+
+# ----------------------------------------------------------------------
+# fork placement against a brute-force oracle
+# ----------------------------------------------------------------------
+
+def _napper(ctx):
+    while True:
+        yield Run(msec(3))
+        yield Sleep(msec(4))
+
+
+def _dormant(ctx):
+    yield Sleep(sec(100))
+
+
+def _oracle_load(sched, cpu):
+    """``cpu``'s load as a plain sum of every runnable task's
+    ``LoadAvg.peek``, bypassing the per-instant memo."""
+    core = sched.machine.cores[cpu]
+    now = sched.engine.now
+    return sum(t.policy.se.avg.peek(now, True)
+               for t in sched.runnable_threads(core))
+
+
+def _oracle_fork_cpu(sched, thread):
+    """The allowed online cpu with the least ``(load, h_nr_running,
+    cpu)``, written as one ``min`` over every candidate."""
+    machine = sched.machine
+    allowed = [c for c in range(len(machine))
+               if thread.allows_cpu(c) and machine.cores[c].online]
+    allowed = allowed or machine.online_cpus()
+    rqs = sched.root_group.cfs_rqs
+    return min(allowed, key=lambda c: (_oracle_load(sched, c),
+                                       rqs[c].h_nr_running, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_fork_placement_matches_oracle(data):
+    """On random CFS states -- affinity masks, mixed nice, app groups,
+    decayed and unequal loads from sleepers, all-idle and all-busy
+    machines, one offlined core -- a fork lands on the oracle's cpu."""
+    ncpus = data.draw(st.sampled_from([2, 4, 6, 8]))
+    cpus = list(range(ncpus))
+    eng = Engine(smp(ncpus, cpus_per_llc=2), scheduler_factory("cfs"),
+                 seed=data.draw(st.integers(0, 9)))
+    sched = eng.scheduler
+    masks = st.one_of(st.none(), st.frozensets(
+        st.sampled_from(cpus), min_size=1))
+    shape = data.draw(st.sampled_from(["idle", "busy", "mixed"]))
+    if shape == "busy":
+        # every cpu holds a spinner of its own
+        for cpu in cpus:
+            eng.spawn(ThreadSpec(f"pin{cpu}", spin,
+                                 affinity=frozenset({cpu}), app="pinned"))
+    if shape != "idle":
+        for i in range(data.draw(st.integers(0, 2 * ncpus))):
+            eng.spawn(ThreadSpec(
+                f"w{i}", data.draw(st.sampled_from([spin, _napper])),
+                nice=data.draw(st.sampled_from([-5, 0, 0, 5, 19])),
+                affinity=data.draw(masks),
+                app=data.draw(st.sampled_from([None, "a", "b"]))))
+    probe = eng.spawn(ThreadSpec("probe", _dormant))
+    eng.run(until=msec(data.draw(st.integers(1, 60))))
+    if data.draw(st.booleans()):
+        eng.offline_core(data.draw(st.sampled_from(cpus)))
+    probe.affinity = data.draw(masks)
+
+    want = _oracle_fork_cpu(sched, probe)
+    assert select_task_rq_fair(sched, probe, True, None) == want
+
+
+def test_fork_load_tie_breaks_on_queued_threads():
+    """cpus 0 and 1 tie at the least load -- one saturated spinner
+    each, plus a fresh fork (zero PELT load) on cpu 0 -- while cpu 2
+    carries two spinners: a fork goes to cpu 1, the tied cpu with
+    fewer queued threads, as the oracle says."""
+    eng = Engine(smp(3), scheduler_factory("cfs"), seed=13)
+    sched = eng.scheduler
+    for name, cpu in (("a", 0), ("b", 1), ("c", 2), ("d", 2)):
+        eng.spawn(ThreadSpec(name, spin, affinity=frozenset({cpu})))
+    probe = eng.spawn(ThreadSpec("probe", _dormant))
+    eng.run(until=sec(2))
+    eng.spawn(ThreadSpec("fresh", spin, affinity=frozenset({0})))
+    loads = [_oracle_load(sched, cpu) for cpu in range(3)]
+    assert loads[0] == loads[1] < loads[2]
+    assert select_task_rq_fair(sched, probe, True, None) == 1
+    assert _oracle_fork_cpu(sched, probe) == 1

@@ -125,6 +125,22 @@ def test_catches_ule_nr_loaded_corruption():
     assert exc_info.value.invariant in ("ule-nr-loaded", "ule-load")
 
 
+def test_catches_ule_idle_mask_corruption():
+    engine = make_engine("ule")
+    churn(engine)
+
+    def corrupt():
+        # a missed update in enqueue_task/dequeue_task would leave a
+        # busy cpu marked idle (or the reverse)
+        engine.scheduler._idle_mask ^= 1 << 1
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(5))
+    assert exc_info.value.invariant == "ule-idle-mask"
+    assert "cpu(s) [1]" in str(exc_info.value)
+
+
 def test_catches_stale_ule_priority():
     engine = make_engine("ule", ncpus=1)
     SpinnerWorkload(count=3, pin_cpu=None).launch(engine, at=0)

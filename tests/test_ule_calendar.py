@@ -181,7 +181,7 @@ def _state(tdq, threads):
     ts, rt = tdq.timeshare, tdq.realtime
     return ([[t.tid for t in b] for b in ts._buckets], ts._bitmap,
             ts.remove_idx, ts.insert_idx, ts.count, dict(ts._bucket_of),
-            [[t.tid for t in q] for q in rt._queues], rt._bitmap,
+            [[t.tid for t in q] for q in rt._queues], rt.bitmap,
             rt.count,
             {tid: (t.policy.queued, t.policy.queued_interactive,
                    t.policy.queued_priority, t.policy.ticks_used)

@@ -9,7 +9,7 @@ from repro.core.clock import msec, sec, usec
 from repro.core.schedflags import SelectFlags
 from repro.core.topology import smp
 from repro.sched import scheduler_factory
-from repro.ule.placement import sched_pickcpu
+from repro.ule.placement import _search_lowpri, sched_pickcpu
 
 
 def spin(ctx):
@@ -205,8 +205,8 @@ def test_property_pickcpu_matches_oracle(data):
     """On random ULE states — per-cpu loads, realtime and timeshare
     threads at mixed priorities, running threads, affinity masks, one
     offlined core — ``sched_pickcpu``'s choice, ``ule.pickcpu_scans``
-    and ``sched.overhead_ns`` equal the oracle's, and every tdq's
-    ``lowest_priority`` equals a plain min."""
+    and ``sched.overhead_ns`` equal the oracle's, and the scan's
+    runs-first test on every tdq agrees with a plain min."""
     ncpus = data.draw(st.sampled_from([2, 4, 6, 8]))
     cpus = list(range(ncpus))
     cost = data.draw(st.integers(1, usec(5)))
@@ -226,8 +226,12 @@ def test_property_pickcpu_matches_oracle(data):
     if data.draw(st.booleans()):
         eng.offline_core(data.draw(st.sampled_from(cpus)))
 
-    for tdq in sched.tdqs():
-        assert tdq.lowest_priority() == _oracle_lowest_priority(tdq)
+    for cpu, tdq in enumerate(sched.tdqs()):
+        best = _oracle_lowest_priority(tdq)
+        for pri in sorted({0, max(best - 1, 0), best,
+                           sched.tunables.nqueues}):
+            runs_first = _search_lowpri(sched, (cpu,), pri)[0] == cpu
+            assert runs_first == (best > pri)
 
     aff = sched.tunables.affinity_ns
     probe.cpu = data.draw(st.one_of(st.none(), st.sampled_from(cpus)))
@@ -236,6 +240,13 @@ def test_property_pickcpu_matches_oracle(data):
     probe.affinity = data.draw(masks)
     probe.policy.priority = data.draw(st.integers(0, 63))
 
+    _assert_pickcpu_matches_oracle(eng, probe, cost)
+
+
+def _assert_pickcpu_matches_oracle(eng, probe, cost):
+    """``sched_pickcpu``'s choice and its billed scan (``scanned``
+    cores, ``cost`` ns each) equal the oracle's; returns both."""
+    sched = eng.scheduler
     want, scanned = _oracle_pickcpu(sched, probe)
     scans = eng.metrics.counter("ule.pickcpu_scans")
     overhead = eng.metrics.counter("sched.overhead_ns")
@@ -243,3 +254,46 @@ def test_property_pickcpu_matches_oracle(data):
     assert eng.metrics.counter("ule.pickcpu_scans") - scans == scanned
     assert (eng.metrics.counter("sched.overhead_ns") - overhead
             == scanned * cost)
+    return want, scanned
+
+
+def test_fork_takes_lowest_idle_cpu():
+    """A fresh unrestricted thread on a machine with idle cpus takes
+    the lowest-numbered idle one, billed as a full machine scan (the
+    idle-mask answer of step 3)."""
+    eng, probe = _engine_with_sleeping_probe()
+    for cpu in (0, 1, 2, 4, 6):
+        eng.spawn(ThreadSpec(f"pin{cpu}", spin, affinity=frozenset({cpu})))
+    eng.run(until=msec(5))
+    probe.cpu = None
+    for pri in (0, 40, 63):
+        probe.policy.priority = pri
+        assert _assert_pickcpu_matches_oracle(eng, probe, usec(1)) == (3, 8)
+
+
+def test_busy_machine_where_no_cpu_qualifies():
+    """Every cpu runs a thread at a better priority than the
+    newcomer's: the search finds no cpu it would run first on, falls
+    back to the least-loaded one, and bills the rescan (2 x cores)."""
+    eng, probe = _engine_with_sleeping_probe()
+    for cpu in range(8):
+        for i in range(1 if cpu == 5 else 2):
+            eng.spawn(ThreadSpec(f"pin{cpu}.{i}", spin,
+                                 affinity=frozenset({cpu}),
+                                 tags={"ule_history": _HISTORIES[0]}))
+    eng.run(until=msec(5))
+    assert eng.scheduler._idle_mask == 0
+    probe.cpu = None
+    probe.policy.priority = 63
+    assert _assert_pickcpu_matches_oracle(eng, probe, usec(1)) == (5, 16)
+
+
+def _engine_with_sleeping_probe():
+    """An 8-cpu ULE engine billing 1 us per scanned core, and a probe
+    thread that has already gone to sleep (so it loads no cpu)."""
+    eng = Engine(smp(8, cpus_per_llc=2), scheduler_factory(
+        "ule", pickcpu_scan_cost_ns=usec(1)), seed=3)
+    probe = eng.spawn(ThreadSpec("probe", _dormant))
+    eng.run(until=msec(1))
+    assert probe.rq_cpu is None
+    return eng, probe
