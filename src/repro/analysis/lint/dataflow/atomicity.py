@@ -1,9 +1,8 @@
 """Cross-process atomicity rules for the experiments tree.
 
-Campaign cells run in parallel worker processes (``--jobs``) and a
-resumed/retried campaign can race its own GC (see
-``experiments/cellcache.py``).  Every artifact the experiment layer
-writes therefore goes through the tmp-write + ``os.replace`` idiom in
+Campaign cells run in parallel worker processes (``--jobs``), and
+two campaigns can share one artifact directory.  Every artifact the
+experiment layer writes therefore goes through the tmp-write + ``os.replace`` idiom in
 ``repro.core.artifacts`` — a torn write from a killed worker must never
 be observable under the final name.  Two rules keep it that way, scoped
 to ``repro/experiments/``:
@@ -20,7 +19,7 @@ to ``repro/experiments/``:
     path with no generation check (no fingerprint/generation/version
     comparison anywhere in the function): a concurrent writer can
     change the file between the read and the write, and the decision
-    taken is stale.  ``CellCache._gc`` is the model citizen — it
+    taken is stale.  A generation GC is the model citizen: it
     re-reads the entry's fingerprint and only unlinks stale
     generations.
 """

@@ -181,10 +181,6 @@ DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     # random.Random(f"repro.faults.plan:{seed}") stream — the fault
     # RNG is seeded and private, never the process-global state
     "unseeded-random": ("repro/core/rng.py", "repro/faults/plan.py"),
-    # the checkpoint journal appends one flushed line per finished
-    # cell ON PURPOSE (O(1) put); a torn tail is recovered — each
-    # line carries a sha256 and load() skips+compacts corrupt lines
-    "nonatomic-write": ("repro/experiments/checkpoint.py",),
     # host-side process orchestration, not simulation: lease
     # heartbeat deadlines, per-cell pool timeouts and SIGKILL/waitpid
     # loops time *real* processes — there is no engine.now to use

@@ -1,8 +1,8 @@
 """Crash-safe artifact writes.
 
 Every JSON/text artifact the repo produces — benchmark results,
-golden-trace digests, experiment reports, lint reports, campaign
-checkpoints — goes through one helper so an interrupted run (SIGKILL,
+golden-trace digests, experiment reports, lint reports, fault
+plans — goes through one helper so an interrupted run (SIGKILL,
 OOM, power loss) can never leave a half-written file behind.  The
 recipe is the standard one: write to a temporary file *in the same
 directory* (so the final rename stays on one filesystem), fsync, then

@@ -2,12 +2,13 @@
 
 Runs a list of experiments (default: all of them) with the hardened
 fan-out — per-cell timeouts, bounded retries, ``FAILED`` markers —
-checkpointing each finished cell so an interrupted run restarts with
-``--resume`` and re-executes only the unfinished cells::
+recording each finished cell in the result store (``--cache-dir``),
+so an interrupted run restarts by running it again and re-executes
+only the unfinished cells::
 
     python -m repro.experiments run --jobs 8 -o report.txt
     # ... killed half-way ...
-    python -m repro.experiments run --jobs 8 -o report.txt --resume
+    python -m repro.experiments run --jobs 8 -o report.txt
 
 The resumed report is byte-identical to an uninterrupted one (see
 docs/fault-injection.md for the determinism contract).
@@ -21,13 +22,9 @@ import sys
 
 from ..core.artifacts import atomic_write_text
 from .campaign import render_report, run_campaign
-from .cellcache import DEFAULT_DIR as DEFAULT_CACHE_DIR
-from .cellcache import CellCache
 from .parallel import FailedCell
 from .registry import experiment_names
 from .store import DEFAULT_DIR as DEFAULT_STORE_DIR
-
-DEFAULT_CHECKPOINT = ".repro-campaign-checkpoint.json"
 
 
 def _cmd_run(args) -> int:
@@ -51,27 +48,24 @@ def _cmd_run(args) -> int:
     if args.profile:
         # Profiling aggregates the process-wide profiler across every
         # cell, which requires running serially in-process, and a
-        # cache-served cell executes nothing to measure.
+        # served cell executes nothing to measure.
         os.environ["REPRO_PROFILE"] = "1"
         if jobs not in (None, 1):
             print("--profile forces serial execution (--jobs ignored)",
                   file=sys.stderr)
         jobs = None
-    cache = None
-    if not args.no_cache and not args.profile:
-        cache = CellCache(args.cache_dir)
+    stats: dict = {}
     cells, results = run_campaign(
         names, quick=not args.full, seed=args.seed, jobs=jobs,
         timeout_s=args.timeout, retries=args.retries,
         backoff_s=args.backoff, reseed=args.reseed,
-        checkpoint_path=args.checkpoint, resume=args.resume,
-        cache=cache, shard_workers=args.shard_workers,
-        store_dir=args.store_dir)
-    if cache is not None:
-        # stderr: the stdout report must stay byte-identical whether
-        # cells were computed or cache-served
-        print(f"cell cache: {cache.hits} hit(s), "
-              f"{cache.misses} executed", file=sys.stderr)
+        store_dir=args.cache_dir,
+        serve=args.resume or not (args.no_cache or args.profile),
+        shard_workers=args.shard_workers, stats=stats)
+    # stderr: the stdout report must stay byte-identical whether
+    # cells were computed or served from the store
+    print(f"cell cache: {stats['served']} hit(s), "
+          f"{len(cells) - stats['served']} executed", file=sys.stderr)
     if args.profile:
         from ..core.profile import global_profiler
         print("per-subsystem profile (all cells; see "
@@ -111,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "store (crash-tolerant: survives worker "
                         "SIGKILLs and supervisor death; see "
                         "docs/distributed-campaigns.md)")
-    p.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
-                   metavar="DIR",
-                   help="shard-store directory (default: "
-                        f"{DEFAULT_STORE_DIR}); pair with --resume "
-                        "to pick an interrupted sharded sweep back "
-                        "up")
     p.add_argument("--timeout", type=float, default=None,
                    metavar="S", help="per-cell wall-clock timeout")
     p.add_argument("--retries", type=int, default=0,
@@ -127,26 +115,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturb a cell's seed on each retry "
                         "(trades byte-identical reports for "
                         "progress past seed-specific failures)")
-    p.add_argument("--checkpoint", default=DEFAULT_CHECKPOINT,
-                   metavar="PATH",
-                   help="checkpoint manifest path "
-                        f"(default: {DEFAULT_CHECKPOINT})")
+    p.add_argument("--checkpoint", metavar="PATH",
+                   help="ignored, kept so older command lines still "
+                        "parse: finished cells are recorded in the "
+                        "store (--cache-dir)")
     p.add_argument("--resume", action="store_true",
-                   help="replay finished cells from the checkpoint; "
-                        "without this flag a stale manifest is "
-                        "cleared and the campaign starts fresh")
+                   help="serve stored cells even under --no-cache or "
+                        "--profile (a plain rerun already resumes)")
     p.add_argument("--no-cache", action="store_true",
-                   help="bypass the content-addressed cell cache and "
-                        "recompute every cell (e.g. for timing runs)")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   metavar="DIR",
-                   help="cell-cache directory (default: "
-                        f"{DEFAULT_CACHE_DIR}); entries invalidate "
-                        "automatically when src/repro changes")
+                   help="recompute every cell instead of serving "
+                        "stored ones (e.g. for timing runs); finished "
+                        "cells are still recorded")
+    p.add_argument("--cache-dir", "--store-dir", dest="cache_dir",
+                   default=DEFAULT_STORE_DIR, metavar="DIR",
+                   help="result-store directory (default: "
+                        f"{DEFAULT_STORE_DIR}): every finished cell is "
+                        "recorded there and served to later runs; "
+                        "rows invalidate automatically when "
+                        "src/repro changes")
     p.add_argument("--profile", action="store_true",
                    help="run serially and report per-subsystem event "
                         "counts and self-time aggregated over every "
-                        "cell (disables the cell cache; see "
+                        "cell (recomputes served cells; see "
                         "docs/performance.md)")
     p.add_argument("--output", "-o", default=None,
                    help="write the report to a file (atomically) "

@@ -34,15 +34,10 @@ unwrapped):
 * ``mark_failures`` degrades gracefully: exhausted cells come back as
   :class:`FailedCell` markers in-place instead of aborting the sweep,
   so a report renders ``FAILED(reason)`` rows for them;
-* ``checkpoint`` (a
-  :class:`~repro.experiments.checkpoint.CampaignCheckpoint`) records
-  each finished cell's result atomically as it completes and
-  short-circuits cells already finished by an interrupted earlier run
-  — the ``--resume`` machinery;
-* ``cache`` (a :class:`~repro.experiments.cellcache.CellCache`)
-  memoizes finished cells *across* campaigns, content-addressed by
-  (cell, code fingerprint) — a warm rerun of an unchanged campaign
-  executes zero cells (see docs/performance.md).
+* ``on_result(cell, result)`` runs in the parent as each cell
+  finishes, in completion order — the hook
+  :func:`~repro.experiments.store.store_map` writes each finished
+  cell's row of the result store through.
 
 Independently of those options, the pool path treats a broken pool
 (:class:`~concurrent.futures.process.BrokenProcessPool`, a severed
@@ -148,9 +143,9 @@ def _run_attempt(fn, items, jobs, timeout_s, on_success=None):
     Returns ``(successes, failures)``: index-keyed result and
     ``(reason, error)`` dicts.  ``on_success(index, result)`` fires as
     each cell finishes, in completion order — NOT at the end of the
-    attempt, nor behind a longer cell submitted earlier — so a
-    checkpoint records finished cells even when the process is killed
-    mid-attempt.  Uses a pool whenever ``timeout_s`` is set (a hung
+    attempt, nor behind a longer cell submitted earlier — so the
+    result store records finished cells even when the process is
+    killed mid-attempt.  Uses a pool whenever ``timeout_s`` is set (a hung
     cell cannot be interrupted in-process) or ``jobs`` asks for
     parallelism.  Afterwards the pool shuts down gracefully once
     every cell has finished, and is terminated only when a cell
@@ -269,8 +264,7 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
              backoff_s: float = 0.5,
              reseed: Optional[Callable[[Any, int], Any]] = None,
              mark_failures: bool = False,
-             checkpoint=None,
-             cache=None,
+             on_result: Optional[Callable[[Any, Any], None]] = None,
              cost: Optional[Callable[[Any], float]] = None) -> list:
     """Apply ``fn`` to every cell, fanning out to ``jobs`` worker
     processes; results come back in cell order.
@@ -283,26 +277,20 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
 
     The keyword-only robustness options are documented in the module
     docstring.  ``reseed(cell, attempt)`` returns the cell to use for
-    retry ``attempt`` (1-based); results and checkpoint entries are
-    always keyed by the *original* cell.
-
-    ``cache`` (a :class:`~repro.experiments.cellcache.CellCache`)
-    memoizes finished cells content-addressed by (cell, code
-    fingerprint): hits short-circuit exactly like checkpoint replays
-    (checkpoint wins when both hold the cell), and every computed
-    result is stored.  Since results are plain JSON either way, a
-    cache-served sweep is byte-identical to a computed one.
+    retry ``attempt`` (1-based); results are always placed at the
+    *original* cell's position, while ``on_result`` receives the cell
+    that actually ran.
 
     ``cost(cell)`` estimates a cell's run time.  With more than one
     worker, cells are submitted costliest first (ties in cell order),
     so the longest cell does not start last while the other workers
-    idle; results and checkpoint entries are still keyed by cell.
+    idle; results still come back in cell order.
     """
     cells = list(cells)
     if jobs == 0:
         jobs = default_jobs()
     if (timeout_s is None and retries == 0 and not mark_failures
-            and checkpoint is None and cache is None and cost is None):
+            and on_result is None and cost is None):
         # The historical plain path, byte-for-byte.
         if jobs is None or jobs <= 1 or len(cells) <= 1:
             return [fn(cell) for cell in cells]
@@ -313,33 +301,17 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
                             chunksize=1)
 
     results: dict[int, Any] = {}
-    if checkpoint is not None or cache is not None:
-        pending = []
-        for index, cell in enumerate(cells):
-            if checkpoint is not None:
-                hit = checkpoint.get(cell)
-                if hit is not checkpoint.MISS:
-                    results[index] = hit
-                    continue
-            if cache is not None:
-                hit = cache.get(cell)
-                if hit is not cache.MISS:
-                    results[index] = hit
-                    # replayed-from-cache cells still reach the
-                    # checkpoint so an interrupted campaign's manifest
-                    # stays complete
-                    if checkpoint is not None:
-                        checkpoint.put(cell, hit)
-                    continue
-            pending.append(index)
-    else:
-        pending = list(range(len(cells)))
+    pending = list(range(len(cells)))
     if cost is not None and jobs is not None and jobs > 1:
         pending.sort(key=lambda index: -cost(cells[index]))
 
     live = {index: cells[index] for index in pending}
     attempts_used = {index: 0 for index in pending}
     fail_info: dict[int, tuple] = {}
+    on_success = None
+    if on_result is not None:
+        def on_success(index, result):
+            on_result(live[index], result)
     for attempt in range(retries + 1):
         if not pending:
             break
@@ -349,15 +321,6 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
             if reseed is not None:
                 for index in pending:
                     live[index] = reseed(live[index], attempt)
-        on_success = None
-        if checkpoint is not None or cache is not None:
-            def on_success(index, result):
-                # Flushed per cell, atomically, as each finishes: a
-                # SIGKILL loses only the cells still in flight.
-                if checkpoint is not None:
-                    checkpoint.put(cells[index], result)
-                if cache is not None:
-                    cache.put(cells[index], result)
         successes, fail_info = _run_attempt(
             fn, [(index, live[index]) for index in pending],
             jobs, timeout_s, on_success)

@@ -4,8 +4,8 @@
 :func:`~repro.experiments.parallel.cell_map`: same contract (apply
 ``fn`` to every cell, results back in submission order, failures as
 :class:`~repro.experiments.parallel.FailedCell` markers), but the
-workers coordinate through a shared on-disk
-:class:`~repro.experiments.store.ShardStore` instead of pipes to a
+workers coordinate through the shared on-disk result store
+(:class:`~repro.experiments.store.ShardStore`) instead of pipes to a
 parent — which is what lets the sweep survive anything short of
 losing the disk:
 
@@ -14,20 +14,21 @@ losing the disk:
   supervisor reaps the corpse and respawns a replacement (bounded by
   ``respawn_budget``).
 * **Poison cells** — a cell whose lease expires
-  ``max_crashes`` times (it keeps killing or wedging workers) is
-  quarantined as a ``FAILED(poison)`` row instead of taking the sweep
-  down with it.
-* **Supervisor crash** — every completed cell is already in the store
-  (and, incrementally, the campaign checkpoint); re-running the same
-  sweep against the same ``store_dir`` resumes from the terminal rows
-  and re-executes only the rest.
+  ``max_crashes`` times (it keeps killing workers) is quarantined as
+  a ``FAILED(poison)`` row instead of taking the sweep down with it.
+* **Wedged cells** — with ``timeout_s`` set, the supervisor kills a
+  worker whose cell has run longer than that and records a timeout
+  attempt, so a cell that never returns costs one worker (respawned)
+  and ends as ``FAILED(timeout)``, like under ``cell_map``.
+* **Supervisor crash** — every finished cell is already a ``done``
+  row of the store; re-running the same sweep against the same
+  ``store_dir`` serves those rows and re-executes only the rest.
 * **Pool collapse** — if no worker can be (re)spawned, the supervisor
   degrades to executing the remaining cells serially in-process; the
   sweep finishes slower instead of not at all.
-* **Corrupt artifacts** — torn store rows/databases and corrupt
-  checkpoint or cache entries are detected by digest, discarded with
-  a single warning, and recomputed (see store.py / checkpoint.py /
-  cellcache.py).
+* **Corrupt artifacts** — a torn store row or database is detected
+  by digest, discarded with a single warning, and recomputed (see
+  store.py).
 
 Determinism is inherited from the cell contract: cells are pure
 functions of their content, results are plain JSON, and the output
@@ -36,9 +37,9 @@ renders a report byte-identical to an uninterrupted serial run
 (asserted by ``make shard-chaos-smoke`` and the chaos tests).
 
 In-flight dedupe rides on content addressing: store rows are keyed by
-the cell-cache sha256 key, so identical cells collapse to one row,
-one execution, one result — and a cell already present in the
-checkpoint or the cell cache is never executed at all.
+:func:`~repro.experiments.store.cache_key`, so identical cells
+collapse to one row, one execution, one result — and a cell whose
+row is already ``done`` is never executed at all.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import threading
 import time
 from typing import Any, Callable, Iterable, Optional
 
-from .cellcache import CellCache, cache_key, code_fingerprint
 from .parallel import FailedCell
 from .store import DEFAULT_CLAIM_BATCH, DEFAULT_MAX_CRASHES, ShardStore
 
@@ -77,6 +77,11 @@ def _fail_reason(reason: str) -> tuple:
     return "error", reason
 
 
+def _owner(pid: int) -> str:
+    """The lease owner name of the worker process ``pid``."""
+    return f"worker-{pid}"
+
+
 class _Heartbeat:
     """Daemon thread renewing a claim batch's leases while ``fn``
     runs (one :meth:`ShardStore.renew_many` per beat for the whole
@@ -91,31 +96,20 @@ class _Heartbeat:
     tuple, never mutating it, so this thread always reads a
     consistent snapshot).
 
-    Stops renewing ``timeout_s`` after the current cell began (see
-    :meth:`begin_cell`): a wedged cell then loses its lease — and the
-    rest of the batch with it, since the worker is stuck — gets
-    stolen, and after ``max_crashes`` wedges is quarantined, all
-    without anyone having to kill the stuck worker mid-syscall.
+    A cell slower than the lease keeps its lease for as long as it
+    runs; bounding a cell's run time is the supervisor's job
+    (``timeout_s``, :func:`_kill_wedged`).
     """
 
     def __init__(self, store: ShardStore, owner: str, held: list,
-                 lease_s: float, timeout_s: Optional[float]):
+                 lease_s: float):
         self._store = store
         self._owner = owner
         self._held = held
         self._lease_s = lease_s
-        self._timeout_s = timeout_s
-        self._deadline = (None if timeout_s is None
-                          else time.monotonic() + timeout_s)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
-
-    def begin_cell(self) -> None:
-        """Restart the wedge deadline — ``timeout_s`` bounds one
-        cell's execution, not the whole batch."""
-        if self._timeout_s is not None:
-            self._deadline = time.monotonic() + self._timeout_s
 
     def _run(self) -> None:
         if self._stop.wait(self._lease_s / 3):
@@ -124,10 +118,6 @@ class _Heartbeat:
         store = self._store.clone()  # this thread's own connection
         try:
             while True:
-                deadline = self._deadline
-                if deadline is not None \
-                        and time.monotonic() >= deadline:
-                    return
                 keys = self._held[0]
                 if keys and not store.renew_many(self._owner, keys,
                                                  self._lease_s):
@@ -147,8 +137,6 @@ class _Heartbeat:
 
 def _drain(store: ShardStore, fn: Callable, owner: str, *,
            lease_s: float, retries: int, backoff_s: float,
-           timeout_s: Optional[float],
-           cache: Optional[CellCache],
            poll_s: float = DEFAULT_POLL_S,
            parent_pid: Optional[int] = None,
            max_cells: Optional[int] = None,
@@ -175,7 +163,7 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
             time.sleep(poll_s)
             continue
         held = [tuple(key for key, _ in batch)]
-        beat = _Heartbeat(store, owner, held, lease_s, timeout_s)
+        beat = _Heartbeat(store, owner, held, lease_s)
         try:
             ours = True  # claim_batch marked the first cell started
             for pos, (key, cell) in enumerate(batch):
@@ -193,7 +181,6 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
                                         if k != key)
                         continue  # stolen while queued: the thief
                         #           runs it, we move on
-                beat.begin_cell()
                 next_key = (batch[pos + 1][0]
                             if pos + 1 < len(batch) else None)
                 try:
@@ -209,8 +196,6 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
                 else:
                     ours = store.complete(key, result, owner=owner,
                                           start_next=next_key)
-                    if cache is not None:
-                        cache.put(cell, result)
                 done += 1
                 held[0] = tuple(k for k in held[0] if k != key)
         finally:
@@ -219,27 +204,25 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
 
 
 def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
-                 timeout_s, cache_root, fingerprint, max_crashes,
-                 parent_pid, claim_k=DEFAULT_CLAIM_BATCH) -> None:
+                 fingerprint, max_crashes, parent_pid,
+                 claim_k=DEFAULT_CLAIM_BATCH) -> None:
     """Worker process entry point: open the shared store and drain."""
     # warm-engine reuse: a worker runs many cells, and campaign cells
     # repeat (topology, scheduler) configurations — let make_engine
     # recycle engines via Engine.reset() unless the parent explicitly
     # exported REPRO_WARM_ENGINES=0
     os.environ.setdefault("REPRO_WARM_ENGINES", "1")
-    cache = None
-    if cache_root is not None:
-        cache = CellCache(cache_root, fingerprint=fingerprint)
     with ShardStore(store_dir, fingerprint=fingerprint,
                     max_crashes=max_crashes) as store:
-        _drain(store, fn, owner=f"worker-{os.getpid()}",
+        _drain(store, fn, owner=_owner(os.getpid()),
                lease_s=lease_s, retries=retries, backoff_s=backoff_s,
-               timeout_s=timeout_s, cache=cache,
                parent_pid=parent_pid, claim_k=claim_k)
 
 
 def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
               workers: int, *, store_dir,
+              serve: bool = True,
+              stats: Optional[dict] = None,
               lease_s: float = DEFAULT_LEASE_S,
               timeout_s: Optional[float] = None,
               retries: int = 0,
@@ -248,117 +231,101 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
               respawn_budget: Optional[int] = None,
               poll_s: float = DEFAULT_POLL_S,
               claim_k: int = DEFAULT_CLAIM_BATCH,
-              checkpoint=None,
-              cache: Optional[CellCache] = None,
-              chaos: Optional[Callable] = None,
-              on_progress: Optional[Callable] = None) -> list:
+              chaos: Optional[Callable] = None) -> list:
     """Apply ``fn`` to every cell through ``workers`` leased
     work-stealing processes sharing the store at ``store_dir``.
 
     Same result contract as
     :func:`~repro.experiments.parallel.cell_map` with
-    ``mark_failures=True``: a list in submission order, exhausted or
-    quarantined cells as :class:`FailedCell` markers.  ``fn`` must be
-    module-level and cells/results plain JSON data (the store and the
-    checkpoint both persist them as canonical JSON).
+    ``mark_failures=True``: a list in submission order, exhausted,
+    timed-out or quarantined cells as :class:`FailedCell` markers.
+    ``fn`` must be module-level and cells/results plain JSON data
+    (the store persists them as canonical JSON).
 
-    ``checkpoint``/``cache`` short-circuit exactly like in
-    :func:`cell_map` (checkpoint wins; cache hits are copied into the
-    checkpoint so an interrupted sweep's manifest stays complete), and
-    every store-computed result is merged into both as it lands — the
-    supervisor is the single checkpoint writer, workers share the
-    content-addressed cache directly.
+    A cell whose ``done`` row is already in the store is served from
+    it (with ``serve``) and never executed; ``stats["served"]``, when
+    given, receives the number of cells served.  ``timeout_s`` bounds
+    one cell's run: the supervisor kills the worker running it past
+    that and records a timeout attempt, retried like an error.
 
     ``chaos`` is the fault-injection hook: a callable invoked each
     supervisor poll with the list of live worker ``Process`` objects
-    (see :mod:`repro.faults.procchaos`).  ``on_progress(done, total)``
-    fires when the done-count advances.
+    (see :mod:`repro.faults.procchaos`).
     """
     cells = list(cells)
-    fingerprint = (cache.fingerprint if cache is not None
-                   else code_fingerprint())
-    keys = [cache_key(cell, fingerprint) for cell in cells]
-
-    results: dict[int, Any] = {}
-    store_indexes: list[int] = []
-    for index, cell in enumerate(cells):
-        if checkpoint is not None:
-            hit = checkpoint.get(cell)
-            if hit is not checkpoint.MISS:
-                results[index] = hit
-                continue
-        if cache is not None:
-            hit = cache.get(cell)
-            if hit is not cache.MISS:
-                results[index] = hit
-                if checkpoint is not None:
-                    checkpoint.put(cell, hit)
-                continue
-        store_indexes.append(index)
-
-    store = ShardStore(store_dir, fingerprint=fingerprint,
-                       max_crashes=max_crashes)
+    store = ShardStore(store_dir, max_crashes=max_crashes)
     try:
-        # duplicate cells collapse onto one store row here: the dict
-        # keeps one (key, cell) per content key; prune first so the
-        # store is always scoped to exactly this sweep (a resumed
-        # identical sweep keys identically and keeps its done rows)
-        keyed = {keys[i]: cells[i] for i in store_indexes}
-        store.prune_except(keyed)
-        store.add_cells(keyed.items())
+        keys, served = store.open_sweep(cells, serve=serve)
+        if stats is not None:
+            stats["served"] = sum(1 for key in keys if key in served)
         _supervise(store, fn, workers,
                    lease_s=lease_s, timeout_s=timeout_s,
                    retries=retries, backoff_s=backoff_s,
                    max_crashes=max_crashes,
                    respawn_budget=respawn_budget,
                    poll_s=poll_s, claim_k=claim_k,
-                   cache=cache, chaos=chaos,
-                   store_dir=store_dir,
-                   checkpoint=checkpoint, key_to_cell=keyed,
-                   on_progress=on_progress,
-                   prefilled=len(results), total=len(cells))
-
+                   chaos=chaos, store_dir=store_dir)
         failures = store.failures()
-        for index in store_indexes:
-            key = keys[index]
+        results = []
+        for cell, key in zip(cells, keys):
+            if key in served:
+                results.append(served[key])
+                continue
             found, value = store.get_result(key)
-            if found:
-                results[index] = value
-            elif key in failures:
+            if not found and key in failures:
                 reason, attempts, crashes = failures[key]
                 kind, detail = _fail_reason(reason)
-                results[index] = FailedCell(
-                    cells[index], kind, detail,
-                    attempts=max(1, attempts + crashes))
-            else:
+                value = FailedCell(cell, kind, detail,
+                                   attempts=max(1, attempts + crashes))
+            elif not found:
                 # a done row failed verification at the last moment
                 # (or vanished): recompute inline rather than abort
-                value = fn(cells[index])
+                value = fn(cell)
                 store.complete(key, value)
-                if cache is not None:
-                    cache.put(cells[index], value)
-                if checkpoint is not None:
-                    checkpoint.put(cells[index], value)
-                results[index] = value
+            results.append(value)
     finally:
         store.close()
-    return [results[index] for index in range(len(cells))]
+    return results
+
+
+def _kill_wedged(store: ShardStore, procs: list, seen: dict,
+                 timeout_s: float, retries: int,
+                 backoff_s: float) -> dict:
+    """Kill every live worker still running a cell it started more
+    than ``timeout_s`` ago, and record a timeout attempt for that
+    cell.  ``seen`` maps each started execution to when a poll first
+    saw it; returns the map for the next poll.  The heartbeat keeps a
+    wedged cell leased, so the kill is what frees its worker — and
+    what stops a late result from landing after the cell has been
+    given up on."""
+    now = time.monotonic()
+    seen = {run: seen.get(run, now) for run in store.running()}
+    live = {_owner(proc.pid): proc for proc in procs}
+    for (owner, key, _attempts, _crashes), since in seen.items():
+        proc = live.get(owner)
+        if proc is None or now - since < timeout_s:
+            continue
+        proc.kill()
+        proc.join(timeout=5.0)
+        store.fail_attempt(key, "", retries=retries,
+                           backoff_s=backoff_s, kind="timeout")
+    return seen
 
 
 def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                timeout_s, retries, backoff_s, max_crashes,
-               respawn_budget, poll_s, claim_k, cache, chaos,
-               store_dir, checkpoint, key_to_cell, on_progress,
-               prefilled, total) -> None:
-    """Run the pool to completion: spawn workers, reap/respawn the
-    dead, poison wedged cells, merge finished rows into the
-    checkpoint, and degrade to serial when the pool is gone."""
+               respawn_budget, poll_s, claim_k, chaos,
+               store_dir) -> None:
+    """Run the pool until every cell is terminal: spawn workers,
+    reap/respawn the dead, kill workers wedged past ``timeout_s``,
+    poison crash-looping cells, and degrade to serial when the pool
+    is gone."""
+    if store.all_terminal():
+        return  # everything served: no pool to spawn
     if respawn_budget is None:
         respawn_budget = default_respawn_budget(workers)
-    cache_root = None if cache is None else cache.root
     worker_kwargs = dict(
         lease_s=lease_s, retries=retries, backoff_s=backoff_s,
-        timeout_s=timeout_s, cache_root=cache_root,
         fingerprint=store.fingerprint, max_crashes=max_crashes,
         parent_pid=os.getpid(), claim_k=claim_k)
 
@@ -369,30 +336,6 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
         proc.start()
         return proc
 
-    checkpointed: set = set()
-
-    def merge_done() -> None:
-        """Flush newly finished rows into the checkpoint (the
-        supervisor is the only checkpoint writer — workers never
-        touch the manifest, so there is exactly one journal tail).
-        Fresh rows land via one grouped journal append
-        (:meth:`CampaignCheckpoint.put_many`) rather than one
-        open/flush cycle per row."""
-        fresh = []
-        for key in store.done_keys():
-            if key in checkpointed or key not in key_to_cell:
-                continue
-            found, result = store.get_result(key)
-            if not found:
-                continue  # discarded as corrupt; will be recomputed
-            fresh.append((key_to_cell[key], result))
-            checkpointed.add(key)
-        if fresh:
-            if checkpoint is not None:
-                checkpoint.put_many(fresh)
-            if on_progress is not None:
-                on_progress(prefilled + len(checkpointed), total)
-
     procs: list = []
     if workers > 1:
         try:
@@ -400,14 +343,15 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
         except OSError:
             procs = []  # can't fork at all: serial from the start
 
-    serial_owner = f"supervisor-{os.getpid()}"
+    seen: dict = {}
     try:
         while not store.all_terminal():
             if chaos is not None:
                 chaos([p for p in procs if p.is_alive()])
-            poisoned = store.reap()
-            if poisoned:
-                merge_done()
+            if timeout_s is not None:
+                seen = _kill_wedged(store, procs, seen, timeout_s,
+                                    retries, backoff_s)
+            store.reap()
             dead = [p for p in procs if not p.is_alive()]
             for proc in dead:
                 proc.join()
@@ -422,24 +366,13 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
             if not procs:
                 # pool gone and unrespawnable: finish the sweep
                 # serially in-process rather than abandoning it
-                _drain(store, fn, serial_owner,
+                _drain(store, fn, f"supervisor-{os.getpid()}",
                        lease_s=max(lease_s, 60.0), retries=retries,
-                       backoff_s=backoff_s, timeout_s=None,
-                       cache=cache, poll_s=poll_s, claim_k=claim_k)
+                       backoff_s=backoff_s, poll_s=poll_s,
+                       claim_k=claim_k)
                 store.reap()
-                merge_done()
                 continue
-            merge_done()
             time.sleep(poll_s)
-        # results() discards corrupt rows back to pending; drain any
-        # such stragglers serially so the sweep always converges
-        while not store.all_terminal():
-            _drain(store, fn, serial_owner, lease_s=max(lease_s, 60.0),
-                   retries=retries, backoff_s=backoff_s,
-                   timeout_s=None, cache=cache, poll_s=poll_s,
-                   claim_k=claim_k)
-            store.reap()
-        merge_done()
     finally:
         for proc in procs:
             proc.terminate()

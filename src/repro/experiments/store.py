@@ -1,12 +1,31 @@
-r"""Shared shard store: a leased, crash-tolerant cell work queue.
+r"""The result store: every finished campaign cell, as one sqlite row.
 
-The distributed campaign executor (:mod:`~repro.experiments.shard`)
-shards a sweep across worker *processes* that coordinate through this
-store — a single sqlite database under ``--store-dir`` — instead of
-through pipes to a parent.  That indirection is what buys crash
-tolerance: a worker that dies (including SIGKILL mid-cell) leaves
-nothing behind but an expiring lease, and any surviving worker steals
-the cell back the moment the lease lapses.
+A campaign cell — one ``(experiment, quick, seed)`` simulation, say —
+is a pure function of its cell dict and the simulator source.  This
+module keeps finished cells in one sqlite database
+(``<store_dir>/cells.sqlite3``) as ``done`` rows keyed by
+:func:`cache_key`: the sha256 of the cell's canonical JSON and the
+:func:`code_fingerprint` of ``src/repro``.  Each row carries its
+result and that result's :func:`result_sha`.  The one row is three
+things at once:
+
+* **The cell cache.**  A row is served whenever its key matches, so
+  a warm rerun of an unchanged campaign executes zero cells and
+  renders a byte-identical report, and campaigns that share a cell
+  share its row.  Any source change flips the fingerprint and re-keys
+  everything, so a row can never be served to different code; rows
+  of an older fingerprint are purged on the next enqueue.
+* **The resume record.**  A cell's row is written the moment the cell
+  finishes (by :func:`store_map`'s completion callback, or by the
+  shard worker that ran it), so an interrupted campaign resumes by
+  running it again.  Only successes are ``done``: a failed cell is
+  retried by the next run.
+* **The shard work queue.**  The distributed executor
+  (:mod:`~repro.experiments.shard`) leases ``pending`` rows to worker
+  *processes*, which coordinate through the database rather than
+  pipes to a parent.  A worker that dies (SIGKILL mid-cell included)
+  leaves nothing behind but an expiring lease, and a surviving worker
+  steals the cell back when the lease lapses.
 
 Cell lifecycle::
 
@@ -25,23 +44,19 @@ Robustness properties, in store terms:
 * **Work stealing / reaping** — :meth:`ShardStore.claim` hands out
   pending cells *and* cells whose lease has expired; a long-running
   healthy worker keeps its lease alive by heartbeating
-  (:meth:`renew`), so only a dead or wedged worker loses its cell.
+  (:meth:`renew`), so only a dead worker loses its cell.
 * **Poison quarantine** — every expired lease bumps the cell's crash
   counter; a cell that has taken down ``max_crashes`` workers is
   marked ``failed`` with a ``poison`` reason instead of crashing a
   third, so one bad cell can never wedge the sweep.
-* **Dedupe by content** — rows are keyed by the cell-cache sha256
-  key (:func:`~repro.experiments.cellcache.cache_key`), so duplicate
-  cells in a sweep collapse to one row and at most one in-flight
-  execution per content key.
-* **Verified results** — ``done`` rows carry a sha256 of the result's
-  canonical JSON; a bit-flipped or truncated result is detected on
-  read, discarded back to ``pending`` with one warning, and
-  recomputed rather than served or fatal.
+* **Dedupe by content** — duplicate cells in a sweep collapse to one
+  row and at most one in-flight execution per content key.
+* **Verified results** — a ``done`` row whose result no longer
+  matches its sha (bit flip, torn write) is discarded back to
+  ``pending`` with one warning and recomputed, never served.
 * **Corrupt-store recovery** — a truncated or otherwise unreadable
-  database (crash mid-write, disk fault) is moved aside to
-  ``*.corrupt`` with one warning and rebuilt empty; the executor
-  re-enqueues its cells and loses only the uncheckpointed work.
+  database is moved aside to ``*.corrupt`` with one warning and
+  rebuilt empty; the executor re-enqueues its cells and recomputes.
 
 sqlite is the "multi-machine-ready" part of the design: WAL mode with
 ``BEGIN IMMEDIATE`` claim transactions gives atomic lease handoff for
@@ -58,13 +73,13 @@ import sqlite3
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 FORMAT = "repro-shard-store-v1"
 
-#: default store directory (repo-root relative, like the checkpoint
-#: manifest and the cell cache)
-DEFAULT_DIR = ".repro-shard-store"
+#: default store directory (repo-root relative); ``--cache-dir`` and
+#: ``REPRO_CELL_CACHE`` relocate it
+DEFAULT_DIR = ".repro-store"
 
 #: database filename under the store directory
 DB_NAME = "cells.sqlite3"
@@ -100,10 +115,16 @@ CREATE INDEX IF NOT EXISTS cells_state ON cells (state);
 #: few seconds of stolen-back work
 DEFAULT_CLAIM_BATCH = 4
 
+#: process-wide fingerprint memo — source files do not change under a
+#: running process, and hashing ~40k lines per store open would
+#: defeat the point
+_FINGERPRINT: Optional[str] = None
+
 
 def canonical_json(value: Any) -> str:
-    """The store's canonical encoding (same convention as the
-    checkpoint and the cell cache: sorted keys, compact)."""
+    """The store's canonical encoding: sorted keys, compact.  Tuples
+    encode as lists, so ``("mg", 1)`` and ``["mg", 1]`` are the same
+    cell."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -111,6 +132,47 @@ def result_sha(result: Any) -> str:
     """sha256 over the canonical JSON of a result — the integrity
     check for ``done`` rows."""
     return hashlib.sha256(canonical_json(result).encode()).hexdigest()
+
+
+def code_fingerprint() -> str:
+    """sha256 over every ``src/repro/**/*.py`` (sorted relative path +
+    file bytes).  Computed once per process."""
+    global _FINGERPRINT
+    if _FINGERPRINT is None:
+        root = Path(__file__).resolve().parents[1]
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        _FINGERPRINT = digest.hexdigest()
+    return _FINGERPRINT
+
+
+def cache_key(cell: Any, fingerprint: Optional[str] = None) -> str:
+    """Content address for ``cell``: sha256 of its canonical JSON (so
+    dict ordering is irrelevant) and the code fingerprint."""
+    if fingerprint is None:
+        fingerprint = code_fingerprint()
+    digest = hashlib.sha256(canonical_json(cell).encode())
+    digest.update(b"\0")
+    digest.update(fingerprint.encode())
+    return digest.hexdigest()
+
+
+def cache_dir_from_env() -> Optional[str]:
+    """The store directory ``REPRO_CELL_CACHE`` asks for: unset /
+    ``0`` / ``off`` / ``no`` / ``false`` → ``None`` (no store);
+    ``1`` / ``on`` / ``yes`` / ``true`` → :data:`DEFAULT_DIR`;
+    anything else is the directory.  This is how ``make golden-check``
+    opts in without threading a flag through pytest."""
+    value = os.environ.get("REPRO_CELL_CACHE", "").strip()
+    if value.lower() in ("", "0", "off", "no", "false"):
+        return None
+    if value.lower() in ("1", "on", "yes", "true"):
+        return DEFAULT_DIR
+    return value
 
 
 def backoff_jitter(key: str, attempt: int) -> float:
@@ -130,21 +192,23 @@ class StoreCorruption(RuntimeError):
 
 
 class ShardStore:
-    """One sweep's shared work queue (``<store_dir>/cells.sqlite3``).
+    """The result store at ``<store_dir>/cells.sqlite3``.
 
-    Every worker process and the supervisor open their own
-    :class:`ShardStore` on the same directory; sqlite serializes the
-    claim/complete transactions.  All methods are safe to call from
-    any process at any time — that is the point.
+    Every process of a sweep (a worker, the supervisor, the ``--jobs``
+    parent) opens its own :class:`ShardStore` on the same directory;
+    sqlite serializes the claim/complete transactions.  All methods
+    are safe to call from any process at any time — that is the
+    point.  ``fingerprint`` defaults to :func:`code_fingerprint`.
     """
 
-    def __init__(self, store_dir, *, fingerprint: str = "",
+    def __init__(self, store_dir, *, fingerprint: Optional[str] = None,
                  max_crashes: int = DEFAULT_MAX_CRASHES,
                  timeout_s: float = 30.0,
                  _now=time.monotonic):
         self.dir = Path(store_dir)
         self.path = self.dir / DB_NAME
-        self.fingerprint = fingerprint
+        self.fingerprint = (code_fingerprint() if fingerprint is None
+                            else fingerprint)
         self.max_crashes = max_crashes
         self.timeout_s = timeout_s
         # monotonic by default; injectable for lease-expiry tests
@@ -213,7 +277,7 @@ class ShardStore:
             except OSError:
                 pass
         warnings.warn(
-            f"shard store {self.path} is corrupt (truncated or "
+            f"result store {self.path} is corrupt (truncated or "
             f"unreadable); moved aside and rebuilt — affected cells "
             f"will be recomputed", RuntimeWarning, stacklevel=3)
 
@@ -242,19 +306,37 @@ class ShardStore:
 
     # ------------------------------------------------------------ enqueue
 
-    def add_cells(self, keyed_cells: Iterable[tuple]) -> int:
-        """Enqueue ``(key, cell)`` pairs; existing rows (any state —
-        an interrupted run's ``done`` rows included) are left alone,
-        which is exactly the store-level resume semantics.  Returns
-        the number of rows inserted."""
-        cur = self._conn.execute("SELECT count(*) FROM cells")
-        before = cur.fetchone()[0]
+    def add_cells(self, keyed_cells: Iterable[tuple], *,
+                  reset: bool = False) -> int:
+        """Enqueue ``(key, cell)`` pairs as ``pending`` rows.  A
+        ``done`` row is left alone (that is the resume: a finished
+        cell stays finished) unless ``reset`` asks for a recompute; a
+        ``failed`` row goes back to ``pending`` with a fresh retry
+        budget; a ``leased`` row keeps its lease, which expires if its
+        worker is gone.  Rows written under another code fingerprint
+        can never be served again and are purged first.  Returns the
+        number of rows inserted."""
+        rows = [(key, canonical_json(cell), reset)
+                for key, cell in keyed_cells]
+        if not rows:
+            return 0
+        before = self._conn.execute(
+            "SELECT count(*) FROM cells").fetchone()[0]
         self._conn.execute("BEGIN IMMEDIATE")
         try:
+            stored = self._conn.execute(
+                "SELECT v FROM meta WHERE k = 'fingerprint'").fetchone()
+            if stored is not None and stored[0] != self.fingerprint:
+                self._conn.execute("DELETE FROM cells")
+                before = 0
             self._conn.executemany(
-                "INSERT OR IGNORE INTO cells (key, cell) VALUES (?, ?)",
-                [(key, canonical_json(cell))
-                 for key, cell in keyed_cells])
+                "INSERT INTO cells (key, cell) VALUES (?1, ?2) "
+                "ON CONFLICT (key) DO UPDATE SET state = 'pending', "
+                "owner = NULL, not_before = 0, attempts = 0, "
+                "crashes = 0, started = 0, result = NULL, "
+                "result_sha = NULL, reason = NULL "
+                "WHERE state = 'failed' OR (?3 AND state = 'done')",
+                rows)
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (k, v) VALUES "
                 "('format', ?), ('fingerprint', ?)",
@@ -266,6 +348,21 @@ class ShardStore:
         after = self._conn.execute(
             "SELECT count(*) FROM cells").fetchone()[0]
         return after - before
+
+    def open_sweep(self, cells: list, *, serve: bool = True) -> tuple:
+        """Start a sweep over ``cells``: ``(keys, served)``, where
+        ``keys`` holds each cell's :func:`cache_key` and ``served``
+        maps the keys already ``done`` to their verified results
+        (empty when not ``serve``).  Every other cell is enqueued as
+        ``pending`` (with ``serve`` off, over its ``done`` row), and
+        another sweep's unfinished rows are pruned."""
+        keys = [cache_key(cell, self.fingerprint) for cell in cells]
+        served = self.results(keys) if serve else {}
+        todo = {key: cell for key, cell in zip(keys, cells)
+                if key not in served}
+        self.prune_except(todo)
+        self.add_cells(todo.items(), reset=not serve)
+        return keys, served
 
     # ------------------------------------------------------------ leasing
 
@@ -454,10 +551,11 @@ class ShardStore:
             raise
 
     def fail_attempt(self, key: str, error: str, *, retries: int,
-                     backoff_s: float) -> bool:
-        """Record a failed execution attempt.  With retries left the
-        cell returns to ``pending`` behind a jittered exponential
-        backoff window; otherwise it is terminally ``failed``.
+                     backoff_s: float, kind: str = "error") -> bool:
+        """Record a failed execution attempt (``kind`` is ``error`` or
+        ``timeout``).  With retries left the cell returns to
+        ``pending`` behind a jittered exponential backoff window;
+        otherwise it is terminally ``failed``.
         Returns ``True`` when a retry was scheduled.  A cell another
         worker already completed (our lease was stolen mid-attempt and
         the thief finished first) is left ``done`` untouched — a stale
@@ -477,7 +575,8 @@ class ShardStore:
                     "UPDATE cells SET state = 'failed', owner = NULL, "
                     "started = 0, attempts = ?, reason = ? "
                     "WHERE key = ?",
-                    (attempts, f"error: {error}", key))
+                    (attempts, f"{kind}: {error}" if error else kind,
+                     key))
                 retried = False
             else:
                 delay = (backoff_s * 2 ** (attempts - 1)
@@ -497,14 +596,14 @@ class ShardStore:
     # ------------------------------------------------------------ queries
 
     def prune_except(self, keys: Iterable[str]) -> int:
-        """Delete rows whose key is not in ``keys`` — called by the
-        executor before enqueueing so the store is always scoped to
-        exactly one sweep.  A resumed identical sweep keys
-        identically and keeps every terminal row; a different sweep
-        (or any source change, which re-keys everything) starts
-        clean.  Returns the number of rows dropped."""
+        """Delete the unfinished rows whose key is not in ``keys`` —
+        called before enqueueing, so the queue holds exactly one
+        sweep's work.  ``done`` rows are never pruned: they are the
+        cache every later sweep is served from.  Returns the number
+        of rows dropped."""
         keep = set(keys)
-        cur = self._conn.execute("SELECT key FROM cells")
+        cur = self._conn.execute(
+            "SELECT key FROM cells WHERE state != 'done'")
         stale = [(key,) for (key,) in cur.fetchall()
                  if key not in keep]
         if stale:
@@ -513,8 +612,7 @@ class ShardStore:
         return len(stale)
 
     def done_keys(self) -> list:
-        """Keys of every ``done`` row (no result parsing — cheap
-        enough for the supervisor to poll)."""
+        """Keys of every ``done`` row (no result parsing)."""
         cur = self._conn.execute(
             "SELECT key FROM cells WHERE state = 'done'")
         return [key for (key,) in cur.fetchall()]
@@ -536,21 +634,16 @@ class ShardStore:
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            self._discard([key])
+            warnings.warn(
+                "result store: discarded a corrupt result row "
+                "(unparsable or hash mismatch); recomputing",
+                RuntimeWarning, stacklevel=2)
+            self._conn.execute(
+                "UPDATE cells SET state = 'pending', result = NULL, "
+                "result_sha = NULL, owner = NULL WHERE key = ?",
+                (key,))
             return False, None
         return True, value
-
-    def _discard(self, keys: list) -> None:
-        """Push corrupt ``done`` rows back to ``pending`` (single
-        warning for the batch)."""
-        warnings.warn(
-            f"shard store: discarded {len(keys)} corrupt result "
-            f"row(s) (hash mismatch); recomputing",
-            RuntimeWarning, stacklevel=3)
-        self._conn.executemany(
-            "UPDATE cells SET state = 'pending', result = NULL, "
-            "result_sha = NULL, owner = NULL WHERE key = ?",
-            [(key,) for key in keys])
 
     def counts(self) -> dict:
         """Row count per state (absent states omitted)."""
@@ -566,29 +659,25 @@ class ShardStore:
             "WHERE state NOT IN ('done', 'failed')")
         return cur.fetchone()[0] == 0
 
-    def results(self) -> dict:
-        """``{key: result}`` for every verified ``done`` row.  A row
-        whose stored digest does not match its result JSON (bit flip,
-        torn write) is discarded back to ``pending`` with one warning
-        so it gets recomputed — corrupt data is never served."""
+    def results(self, keys: Optional[Iterable[str]] = None) -> dict:
+        """``{key: result}`` for every verified ``done`` row among
+        ``keys`` (default: every ``done`` row), each checked as by
+        :meth:`get_result` — a corrupt row is discarded, not
+        served."""
         out = {}
-        bad = []
-        cur = self._conn.execute(
-            "SELECT key, result, result_sha FROM cells "
-            "WHERE state = 'done'")
-        for key, raw, sha in cur.fetchall():
-            try:
-                value = json.loads(raw)
-            except (TypeError, ValueError):
-                bad.append(key)
-                continue
-            if result_sha(value) != sha:
-                bad.append(key)
-                continue
-            out[key] = value
-        if bad:
-            self._discard(bad)
+        for key in self.done_keys() if keys is None else keys:
+            found, value = self.get_result(key)
+            if found:
+                out[key] = value
         return out
+
+    def running(self) -> list:
+        """``(owner, key, attempts, crashes)`` for every cell a
+        worker has started and not finished; the counters tell a
+        retry or a steal of the same cell from the first run."""
+        return self._conn.execute(
+            "SELECT owner, key, attempts, crashes FROM cells "
+            "WHERE state = 'leased' AND started = 1").fetchall()
 
     def failures(self) -> dict:
         """``{key: (reason, attempts, crashes)}`` for ``failed``
@@ -599,13 +688,34 @@ class ShardStore:
         return {key: (reason or "error", attempts, crashes)
                 for key, reason, attempts, crashes in cur.fetchall()}
 
-    def clear(self) -> None:
-        """Delete the store (a fully successful sweep removes it, like
-        the checkpoint manifest)."""
-        self.close()
-        for name in (str(self.path), f"{self.path}-wal",
-                     f"{self.path}-shm"):
-            try:
-                os.unlink(name)
-            except OSError:
-                pass
+
+def store_map(fn: Callable[[Any], Any], cells: Iterable[Any],
+              store_dir, *, serve: bool = True,
+              stats: Optional[dict] = None, **options) -> list:
+    """:func:`~repro.experiments.parallel.cell_map` through the store
+    at ``store_dir``.  A cell with a ``done`` row is served from it
+    (with ``serve``); the rest run through ``cell_map(**options)``,
+    whose parent-side completion callback writes each cell's row the
+    moment it finishes, so an interrupted sweep resumes by running
+    again.  A reseeded retry is a different cell with its own key: it
+    has no row, so its result is not recorded.  ``stats["served"]``,
+    when given, receives the number of cells served."""
+    from .parallel import cell_map
+
+    cells = list(cells)
+    with ShardStore(store_dir) as store:
+        keys, served = store.open_sweep(cells, serve=serve)
+        todo = [index for index, key in enumerate(keys)
+                if key not in served]
+
+        def record(cell, result):
+            store.complete(cache_key(cell, store.fingerprint), result)
+
+        computed = cell_map(fn, [cells[index] for index in todo],
+                            on_result=record, **options)
+    if stats is not None:
+        stats["served"] = len(cells) - len(todo)
+    results = [served.get(key) for key in keys]
+    for index, result in zip(todo, computed):
+        results[index] = result
+    return results

@@ -138,28 +138,22 @@ def render_shard_report(cells, results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _shard_chaos_child(store_dir, checkpoint_path, meta, workers,
-                       lease_s) -> None:
+def _shard_chaos_child(store_dir, workers, lease_s) -> None:
     """Phase-1 supervisor (run in a child so the parent can SIGKILL
     it mid-sweep): starts the sharded sweep and never finishes."""
-    from ..experiments.checkpoint import CampaignCheckpoint
     from ..experiments.shard import shard_map
 
-    checkpoint = CampaignCheckpoint(checkpoint_path, meta=meta)
-    checkpoint.load(resume=True)
     shard_map(shard_chaos_cell, shard_chaos_cells(), workers,
-              store_dir=store_dir, lease_s=lease_s,
-              checkpoint=checkpoint)
+              store_dir=store_dir, lease_s=lease_s)
 
 
 def _cmd_shard_chaos(args) -> int:
-    from ..experiments.checkpoint import CampaignCheckpoint
     from ..experiments.parallel import FailedCell, cell_map
     from ..experiments.shard import shard_map
+    from ..experiments.store import ShardStore
     from .procchaos import WorkerKiller
 
     cells = shard_chaos_cells()
-    meta = {"sweep": "shard-chaos"}
     print(f"shard-chaos: {len(cells)} cells, {args.workers} workers, "
           f"{args.kills} worker SIGKILL(s) + 1 supervisor SIGKILL")
 
@@ -171,43 +165,38 @@ def _cmd_shard_chaos(args) -> int:
 
     with tempfile.TemporaryDirectory(prefix="shard-chaos-") as tmp:
         store_dir = os.path.join(tmp, "store")
-        checkpoint_path = os.path.join(tmp, "checkpoint.jsonl")
 
-        # phase 1: SIGKILL the supervisor itself mid-sweep
-        child = multiprocessing.Process(
-            target=_shard_chaos_child,
-            args=(store_dir, checkpoint_path, meta, args.workers,
-                  args.lease))
-        child.start()
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            try:
-                with open(checkpoint_path) as fh:
-                    finished = sum(1 for _ in fh) - 1
-            except OSError:
-                finished = 0
-            if finished >= max(4, len(cells) // 8):
-                break
-            if not child.is_alive():  # pragma: no cover - flake guard
-                break
-            time.sleep(0.02)
+        # phase 1: SIGKILL the supervisor itself mid-sweep (the store
+        # is created first, so the child never races its creation)
+        with ShardStore(store_dir) as store:
+            child = multiprocessing.Process(
+                target=_shard_chaos_child,
+                args=(store_dir, args.workers, args.lease))
+            child.start()
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                finished = store.counts().get("done", 0)
+                if finished >= max(4, len(cells) // 8):
+                    break
+                if not child.is_alive():  # pragma: no cover - flake guard
+                    break
+                time.sleep(0.02)
         interrupted_alive = child.is_alive()
         if interrupted_alive:
             os.kill(child.pid, signal.SIGKILL)
         child.join()
         print(f"  phase 1: supervisor SIGKILLed with ~{finished} "
-              f"cell(s) checkpointed "
+              f"cell(s) stored "
               f"(alive at kill: {interrupted_alive})")
 
-        # phase 2: resume the same sweep; kill workers while it runs
+        # phase 2: rerun the same sweep; kill workers while it runs
         killer = WorkerKiller(args.kills, seed=args.seed,
                               min_gap_s=0.05, max_gap_s=0.25)
-        checkpoint = CampaignCheckpoint(checkpoint_path, meta=meta)
-        replayed = checkpoint.load(resume=True)
+        stats: dict = {}
         results = shard_map(shard_chaos_cell, cells, args.workers,
                             store_dir=store_dir, lease_s=args.lease,
-                            checkpoint=checkpoint, chaos=killer)
-        print(f"  phase 2: resumed past {replayed} checkpointed "
+                            chaos=killer, stats=stats)
+        print(f"  phase 2: resumed past {stats['served']} stored "
               f"cell(s); {len(killer.killed)} worker(s) SIGKILLed")
 
     failed = [r for r in results if isinstance(r, FailedCell)]

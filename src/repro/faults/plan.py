@@ -4,9 +4,9 @@ faults.
 A plan is plain data — frozen dataclasses with a stable JSON encoding
 — so the same plan file replays the same faults on every run
 (``repro-sched run --faults plan.json``), can be embedded in fuzz
-campaigns, and round-trips through the campaign checkpoint.  The fault
-taxonomy, determinism contract, and JSON schema are documented in
-docs/fault-injection.md.
+campaigns, and round-trips through the campaign's result store.  The
+fault taxonomy, determinism contract, and JSON schema are documented
+in docs/fault-injection.md.
 
 Fault kinds
 -----------

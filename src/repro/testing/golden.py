@@ -91,17 +91,20 @@ def compute_all(jobs: int | None = None,
     """Digests for every golden cell.
 
     Honours ``REPRO_CELL_CACHE`` (see
-    :mod:`repro.experiments.cellcache`): with the cache enabled a
-    repeated ``make golden-check`` against unchanged sources replays
-    the stored digests instead of re-simulating — safe because the
-    cache key includes the code fingerprint, so any source change
-    forces a real recompute.  Unset (the in-test default), every cell
-    is computed fresh.
+    :mod:`repro.experiments.store`): with it set, a repeated
+    ``make golden-check`` against unchanged sources is served the
+    stored digests instead of re-simulating — safe because a row's
+    key includes the code fingerprint, so any source change forces a
+    real recompute.  Unset (the in-test default), every cell is
+    computed fresh.
     """
     names = cell_names() if names is None else names
-    from ..experiments.cellcache import cache_from_env
-    digests = parallel.cell_map(compute_cell, names, jobs=jobs,
-                                cache=cache_from_env())
+    from ..experiments.store import cache_dir_from_env, store_map
+    store_dir = cache_dir_from_env()
+    if store_dir is None:
+        digests = parallel.cell_map(compute_cell, names, jobs=jobs)
+    else:
+        digests = store_map(compute_cell, names, store_dir, jobs=jobs)
     return dict(zip(names, digests))
 
 

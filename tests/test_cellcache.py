@@ -1,22 +1,43 @@
-"""The content-addressed cell cache: keying, hit/miss accounting,
-fingerprint invalidation + GC, torn-entry tolerance, env-var
-construction, and the interplay with cell_map / checkpoints."""
+"""The cell cache, which is the result store's ``done`` rows: keying,
+hit/miss, fingerprint invalidation and purge, torn-row tolerance,
+env-var construction, and the interplay with ``store_map``."""
 
-import json
 import warnings
 
 import pytest
 
-from repro.experiments import parallel
-from repro.experiments.cellcache import (CellCache, cache_from_env,
-                                         cache_key, code_fingerprint)
+from repro.experiments.store import (DEFAULT_DIR, ShardStore,
+                                     cache_dir_from_env, cache_key,
+                                     code_fingerprint, store_map)
 
 CELL = {"experiment": "table1", "quick": True, "seed": 1}
+MISS = object()
 
 
 @pytest.fixture
-def cache(tmp_path):
-    return CellCache(tmp_path / "cache", fingerprint="fp-a")
+def store(tmp_path):
+    with ShardStore(tmp_path / "store", fingerprint="fp-a") as s:
+        yield s
+
+
+def lookup(store, cell):
+    """The served result of ``cell``, or ``MISS`` (enqueueing it, as a
+    sweep would)."""
+    _, served = store.open_sweep([cell])
+    return served.get(cache_key(cell, store.fingerprint), MISS)
+
+
+def put(store, cell, result):
+    """Record ``cell`` as finished, as a sweep's completion does."""
+    keys, _ = store.open_sweep([cell], serve=False)
+    store.complete(keys[0], result)
+
+
+def row_result(store, cell, text):
+    """Overwrite the stored result text of ``cell`` in place (the
+    stored sha is left alone)."""
+    store._conn.execute("UPDATE cells SET result = ? WHERE key = ?",
+                        (text, cache_key(cell, store.fingerprint)))
 
 
 # ----------------------------------------------------------------------
@@ -40,135 +61,64 @@ def test_code_fingerprint_is_memoized():
 
 
 # ----------------------------------------------------------------------
-# get / put
+# lookup / record
 # ----------------------------------------------------------------------
 
-def test_miss_then_hit(cache):
-    assert cache.get(CELL) is CellCache.MISS
-    cache.put(CELL, {"metric": 42})
-    assert cache.get(CELL) == {"metric": 42}
-    assert (cache.hits, cache.misses) == (1, 1)
+def test_miss_then_hit(store):
+    assert lookup(store, CELL) is MISS
+    put(store, CELL, {"metric": 42})
+    assert lookup(store, CELL) == {"metric": 42}
 
 
-def test_cached_none_is_not_a_miss(cache):
-    cache.put(CELL, None)
-    assert cache.get(CELL) is None
-    assert cache.hits == 1
+def test_cached_none_is_not_a_miss(store):
+    put(store, CELL, None)
+    assert lookup(store, CELL) is None
 
 
-def test_torn_entry_counts_as_miss(cache):
-    cache.put(CELL, {"metric": 42})
-    cache.path_for(CELL).write_text('{"format": "repro-cell-')
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        assert cache.get(CELL) is CellCache.MISS
+def test_torn_entry_counts_as_miss(store):
+    put(store, CELL, {"metric": 42})
+    row_result(store, CELL, '{"metric": 4')
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        assert lookup(store, CELL) is MISS
 
 
 def test_wrong_fingerprint_entry_is_a_miss(tmp_path):
-    old = CellCache(tmp_path / "cache", fingerprint="fp-old")
-    old.put(CELL, {"metric": 42})
-    new = CellCache(tmp_path / "cache", fingerprint="fp-new")
-    assert new.get(CELL) is CellCache.MISS
+    with ShardStore(tmp_path / "store", fingerprint="fp-old") as old:
+        put(old, CELL, {"metric": 42})
+    with ShardStore(tmp_path / "store", fingerprint="fp-new") as new:
+        assert lookup(new, CELL) is MISS
 
 
 def test_put_gcs_stale_generations(tmp_path):
-    old = CellCache(tmp_path / "cache", fingerprint="fp-old")
-    old.put(CELL, {"metric": 1})
-    new = CellCache(tmp_path / "cache", fingerprint="fp-new")
-    new.put(CELL, {"metric": 2})
-    entries = [json.loads(p.read_text())
-               for p in (tmp_path / "cache").glob("*.json")]
-    assert [e["fingerprint"] for e in entries] == ["fp-new"]
+    with ShardStore(tmp_path / "store", fingerprint="fp-old") as old:
+        put(old, CELL, {"metric": 1})
+        put(old, {"other": True}, {"metric": 1})
+    with ShardStore(tmp_path / "store", fingerprint="fp-new") as new:
+        put(new, CELL, {"metric": 2})
+        # the older generation's rows are gone, not just unserved
+        assert new.done_keys() == [cache_key(CELL, "fp-new")]
 
 
-def test_gc_races_concurrent_writer(tmp_path, monkeypatch):
-    """GC racing a concurrent same-generation writer: entries the
-    writer lands *mid-scan* (atomic rename, current fingerprint) must
-    survive, entries another GC already unlinked must be skipped
-    without error, and only stale generations die.
-
-    The interleave is simulated at the read step: the first stale
-    entry GC inspects triggers (a) a concurrent writer completing a
-    fresh current-generation put and (b) a sibling GC unlinking one of
-    the other stale files before this GC reaches it.
-    """
-    from pathlib import Path
-
-    root = tmp_path / "cache"
-    old = CellCache(root, fingerprint="fp-old")
-    stale_cells = [{"seed": i} for i in range(4)]
-    for cell in stale_cells:
-        old.put(cell, 0)
-    stale_paths = sorted(root.glob("*.json"))
-    assert len(stale_paths) == 4
-
-    new = CellCache(root, fingerprint="fp-new")
-    racer = CellCache(root, fingerprint="fp-new")
-    racer._gc_done = True  # the racer only writes; this GC scans
-    fired = {"done": False}
-    real_read_text = Path.read_text
-
-    def racing_read_text(self, *args, **kwargs):
-        if not fired["done"] and self in stale_paths:
-            fired["done"] = True
-            # (a) concurrent writer completes a current-gen entry
-            racer.put({"landed": "mid-scan"}, {"metric": 7})
-            # (b) a sibling GC beats us to a different stale file
-            victim = next(p for p in stale_paths
-                          if p != self and p.exists())
-            victim.unlink()
-        return real_read_text(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", racing_read_text)
-    new.put(CELL, {"metric": 1})  # first put runs the GC scan
-    monkeypatch.undo()
-
-    survivors = {p.name: json.loads(p.read_text())["fingerprint"]
-                 for p in root.glob("*.json")}
-    assert set(survivors.values()) == {"fp-new"}
-    # Both current-generation entries survived the scan: the one this
-    # cache wrote and the one the racer landed mid-scan.
-    assert len(survivors) == 2
-    assert new.get(CELL) == {"metric": 1}
-    assert racer.get({"landed": "mid-scan"}) == {"metric": 7}
-
-
-def test_gc_tolerates_entry_vanishing_before_unlink(tmp_path,
-                                                    monkeypatch):
-    """The unlink itself can lose the race too: a stale path that
-    disappears between the read and the ``unlink`` must not abort the
-    scan (the remaining stale entries still die)."""
-    import os as _os
-    from pathlib import Path
-
-    root = tmp_path / "cache"
-    old = CellCache(root, fingerprint="fp-old")
-    for i in range(3):
-        old.put({"seed": i}, i)
-    doomed = sorted(root.glob("*.json"))[0]
-    real_unlink = Path.unlink
-    fired = {"done": False}
-
-    def racing_unlink(self, *args, **kwargs):
-        if not fired["done"] and self == doomed:
-            fired["done"] = True
-            _os.unlink(self)  # the sibling process got there first
-        return real_unlink(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "unlink", racing_unlink)
-    new = CellCache(root, fingerprint="fp-new")
-    new.put(CELL, {"metric": 1})
-    monkeypatch.undo()
-    fingerprints = {json.loads(p.read_text())["fingerprint"]
-                    for p in root.glob("*.json")}
-    assert fingerprints == {"fp-new"}
-
-
-def test_clear_and_len(cache):
-    cache.put(CELL, 1)
-    cache.put({"other": True}, 2)
-    assert len(cache) == 2
-    cache.clear()
-    assert len(cache) == 0
+def test_gc_races_concurrent_writer(tmp_path):
+    """Two writers of the new generation interleave with the purge of
+    the old one: the purge runs once, inside the first enqueue's
+    write transaction, and neither writer loses a row to it."""
+    with ShardStore(tmp_path / "store", fingerprint="fp-old") as old:
+        for seed in range(4):
+            put(old, {"seed": seed}, 0)
+    new = ShardStore(tmp_path / "store", fingerprint="fp-new")
+    racer = ShardStore(tmp_path / "store", fingerprint="fp-new")
+    try:
+        put(racer, {"landed": "first"}, {"metric": 7})
+        put(new, CELL, {"metric": 1})
+        assert sorted(new.done_keys()) == sorted(
+            [cache_key(CELL, "fp-new"),
+             cache_key({"landed": "first"}, "fp-new")])
+        assert lookup(new, CELL) == {"metric": 1}
+        assert lookup(racer, {"landed": "first"}) == {"metric": 7}
+    finally:
+        new.close()
+        racer.close()
 
 
 # ----------------------------------------------------------------------
@@ -178,25 +128,24 @@ def test_clear_and_len(cache):
 @pytest.mark.parametrize("value", ["", "0", "off", "no", "FALSE"])
 def test_cache_from_env_disabled(monkeypatch, value):
     monkeypatch.setenv("REPRO_CELL_CACHE", value)
-    assert cache_from_env() is None
+    assert cache_dir_from_env() is None
 
 
 def test_cache_from_env_default_dir(monkeypatch):
     monkeypatch.setenv("REPRO_CELL_CACHE", "1")
-    assert cache_from_env().root.name == ".repro-cell-cache"
+    assert cache_dir_from_env() == DEFAULT_DIR == ".repro-store"
 
 
 def test_cache_from_env_explicit_dir(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CELL_CACHE", str(tmp_path / "c"))
-    assert cache_from_env().root == tmp_path / "c"
+    assert cache_dir_from_env() == str(tmp_path / "c")
 
 
 # ----------------------------------------------------------------------
-# cell_map integration
+# store_map integration
 # ----------------------------------------------------------------------
 
 def test_cell_map_uses_cache(tmp_path):
-    cache = CellCache(tmp_path / "cache", fingerprint="fp")
     calls = []
 
     def compute(cell):
@@ -204,67 +153,63 @@ def test_cell_map_uses_cache(tmp_path):
         return cell * 10
 
     cells = [1, 2, 3]
-    assert parallel.cell_map(compute, cells, jobs=None,
-                             cache=cache) == [10, 20, 30]
-    assert calls == cells
-    # warm rerun: nothing executes, results come from the cache
-    assert parallel.cell_map(compute, cells, jobs=None,
-                             cache=cache) == [10, 20, 30]
-    assert calls == cells
-    assert cache.hits == 3
+    stats = {}
+    assert store_map(compute, cells, tmp_path / "store",
+                     stats=stats) == [10, 20, 30]
+    assert calls == cells and stats == {"served": 0}
+    # warm rerun: nothing executes, results come from the store
+    assert store_map(compute, cells, tmp_path / "store",
+                     stats=stats) == [10, 20, 30]
+    assert calls == cells and stats == {"served": 3}
+    # without serving, every cell runs again and its row is rewritten
+    assert store_map(compute, cells, tmp_path / "store",
+                     serve=False) == [10, 20, 30]
+    assert calls == cells * 2
 
 
 # ----------------------------------------------------------------------
-# corruption: bit flips and truncation are evicted, never served
+# corruption: bit flips and truncation are discarded, never served
 # ----------------------------------------------------------------------
 
-def test_bitflipped_entry_is_evicted_and_recomputed(cache):
-    cache.put(CELL, {"metric": 42})
-    path = cache.path_for(CELL)
+def test_bitflipped_entry_is_evicted_and_recomputed(store):
+    put(store, CELL, {"metric": 42})
     # flip a bit: still valid JSON, but the stored sha no longer
     # matches the result
-    entry = json.loads(path.read_text())
-    entry["result"] = {"metric": 43}
-    path.write_text(json.dumps(entry))
+    row_result(store, CELL, '{"metric":43}')
     with pytest.warns(RuntimeWarning, match="hash mismatch"):
-        assert cache.get(CELL) is CellCache.MISS
-    assert not path.exists()  # evicted, not left to warn again
-    # the recompute repopulates the entry and it serves again
-    cache.put(CELL, {"metric": 42})
-    assert cache.get(CELL) == {"metric": 42}
+        assert lookup(store, CELL) is MISS
+    assert store.done_keys() == []  # discarded, not left to warn again
+    # the recompute repopulates the row and it serves again
+    put(store, CELL, {"metric": 42})
+    assert lookup(store, CELL) == {"metric": 42}
 
 
-def test_truncated_entry_is_evicted_with_one_warning(cache):
-    cache.put(CELL, {"metric": 42})
-    path = cache.path_for(CELL)
-    path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        assert cache.get(CELL) is CellCache.MISS
-    assert not path.exists()
+def test_truncated_entry_is_evicted_with_one_warning(store):
+    put(store, CELL, {"metric": 42})
+    row_result(store, CELL, '{"met')
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        assert lookup(store, CELL) is MISS
     # subsequent lookups are plain (silent) misses: warn once only
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cache.get(CELL) is CellCache.MISS
+        assert lookup(store, CELL) is MISS
 
 
 def test_corrupt_entry_recomputes_through_cell_map(tmp_path):
-    cache = CellCache(tmp_path / "cache", fingerprint="fp")
     calls = []
 
     def compute(cell):
         calls.append(cell)
         return cell * 10
 
-    assert parallel.cell_map(compute, [7], jobs=None,
-                             cache=cache) == [70]
-    # corrupt the entry in place (bit flip in the stored result)
-    path = cache.path_for(7)
-    entry = json.loads(path.read_text())
-    entry["result"] = 71
-    path.write_text(json.dumps(entry))
+    target = tmp_path / "store"
+    assert store_map(compute, [7], target) == [70]
+    # corrupt the row in place (bit flip in the stored result)
+    with ShardStore(target) as store:
+        row_result(store, 7, "71")
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        assert parallel.cell_map(compute, [7], jobs=None,
-                                 cache=cache) == [70]
+        assert store_map(compute, [7], target) == [70]
     assert calls == [7, 7]  # recomputed, the corrupt 71 never served
-    # and the recompute healed the entry
-    assert cache.get(7) == 70
+    # and the recompute healed the row
+    with ShardStore(target) as store:
+        assert lookup(store, 7) == 70

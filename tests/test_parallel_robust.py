@@ -1,9 +1,8 @@
 """Failure paths of the hardened parallel runner: raising cells,
-timeouts, retries with reseeding, FAILED markers, and the
-checkpoint/resume contract (resumed rows byte-identical to an
+timeouts, retries with reseeding, FAILED markers, and the resume
+contract through the result store (resumed rows byte-identical to an
 uninterrupted run)."""
 
-import json
 import os
 import time
 import warnings
@@ -11,8 +10,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments.checkpoint import CampaignCheckpoint, cell_key
 from repro.experiments.parallel import CellError, FailedCell, cell_map
+from repro.experiments.store import ShardStore, cache_key, store_map
 
 
 def _double(cell):
@@ -87,292 +86,234 @@ def test_timeout_cell_is_marked_and_pool_recovers():
     assert results[1].render() == "FAILED(timeout)"
 
 
-# -------------------------------------------------------------- checkpoint
+# ------------------------------------------------ result store (resume)
+
+
+def _value(cell):
+    return cell["x"] * cell["seed"]
+
+
+def _counting(executed, fn):
+    def run(cell):
+        executed.append(cell)
+        return fn(cell)
+    return run
+
+
+def _corrupt(target, cell, text):
+    """Overwrite ``cell``'s stored result text in place."""
+    with ShardStore(target) as store:
+        store._conn.execute(
+            "UPDATE cells SET result = ? WHERE key = ?",
+            (text, cache_key(cell)))
 
 
 def test_checkpoint_records_only_successes(tmp_path):
-    ck = CampaignCheckpoint(tmp_path / "ck.json", meta={"k": 1})
-    results = cell_map(_boom_on_negative, [1, -2, 3],
-                       mark_failures=True, checkpoint=ck)
+    target = tmp_path / "store"
+    results = store_map(_boom_on_negative, [1, -2, 3], target,
+                        mark_failures=True)
     assert isinstance(results[1], FailedCell)
-    assert ck.get(1) == 2 and ck.get(3) == 6
-    assert ck.get(-2) is ck.MISS  # failures are never checkpointed
-    # The manifest survives a "process restart".
-    fresh = CampaignCheckpoint(tmp_path / "ck.json", meta={"k": 1})
-    assert fresh.load(resume=True) == 2
-    assert fresh.get(3) == 6
+    with ShardStore(target) as store:
+        # failures are never done rows: the next run retries them
+        assert store.results() == {cache_key(1): 2, cache_key(3): 6}
+    executed = []
+    again = store_map(_counting(executed, _boom_on_negative),
+                      [1, -2, 3], target, mark_failures=True)
+    assert executed == [-2] and again[2] == 6
 
 
 def test_resume_short_circuits_finished_cells(tmp_path):
-    path = tmp_path / "ck.json"
-    ck = CampaignCheckpoint(path, meta={})
-    cell_map(_double, [1, 2, 3], checkpoint=ck)
+    target = tmp_path / "store"
+    store_map(_double, [1, 2, 3], target)
     # A "restarted" run: _always_boom would explode if any cell were
-    # re-executed, so every row must come from the manifest.
-    resumed = CampaignCheckpoint(path, meta={})
-    assert resumed.load(resume=True) == 3
-    results = cell_map(_always_boom, [1, 2, 3], checkpoint=resumed)
-    assert results == [2, 4, 6]
+    # re-executed, so every row must come from the store.
+    assert store_map(_always_boom, [1, 2, 3], target) == [2, 4, 6]
 
 
 def test_resume_after_partial_run_matches_uninterrupted(tmp_path):
     cells = [1, 2, 3, 4]
     uninterrupted = cell_map(_double, cells)
 
-    # Simulate a campaign killed after two cells: only their results
-    # made it into the manifest.
-    path = tmp_path / "ck.json"
-    partial = CampaignCheckpoint(path, meta={"run": 1})
-    cell_map(_double, cells[:2], checkpoint=partial)
-
-    resumed_ck = CampaignCheckpoint(path, meta={"run": 1})
-    assert resumed_ck.load(resume=True) == 2
+    # Simulate a campaign killed after two cells: only their rows
+    # made it into the store.
+    target = tmp_path / "store"
+    store_map(_double, cells[:2], target)
     executed = []
-
-    def counting(cell):
-        executed.append(cell)
-        return _double(cell)
-
-    resumed = cell_map(counting, cells, checkpoint=resumed_ck)
+    resumed = store_map(_counting(executed, _double), cells, target)
     assert resumed == uninterrupted  # rows identical, in order
     assert executed == [3, 4]  # only the unfinished cells re-ran
 
 
 def test_no_resume_clears_a_stale_manifest(tmp_path):
-    path = tmp_path / "ck.json"
-    ck = CampaignCheckpoint(path, meta={})
-    ck.put(1, 999)
-    assert path.exists()
-    fresh = CampaignCheckpoint(path, meta={})
-    assert fresh.load(resume=False) == 0
-    assert not path.exists()
-    assert fresh.get(1) is fresh.MISS
+    # a stale row (a wrong value under the cell's key) is served while
+    # serving is on; with it off the cell is recomputed and the
+    # recompute replaces the stale row for good
+    target = tmp_path / "store"
+    with ShardStore(target) as store:
+        keys, _ = store.open_sweep([1])
+        store.complete(keys[0], 999)
+    assert store_map(_double, [1], target) == [999]
+    assert store_map(_double, [1], target, serve=False) == [2]
+    assert store_map(_always_boom, [1], target) == [2]
 
 
 def test_mismatched_meta_discards_the_manifest(tmp_path):
-    path = tmp_path / "ck.json"
-    ck = CampaignCheckpoint(path, meta={"seed": 1})
-    ck.put("cell", "result")
-    other = CampaignCheckpoint(path, meta={"seed": 2})
-    assert other.load(resume=True) == 0
-    assert other.get("cell") is other.MISS
+    # a differently parameterised cell keys differently: nothing of
+    # the first campaign is served to the second
+    target = tmp_path / "store"
+    store_map(_value, [{"x": 3, "seed": 1}], target)
+    results = store_map(_always_boom, [{"x": 3, "seed": 2}], target,
+                        mark_failures=True)
+    assert isinstance(results[0], FailedCell)
 
 
 def test_corrupt_manifest_is_treated_as_empty(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_text("{ not json !")
-    ck = CampaignCheckpoint(path, meta={})
-    assert ck.load(resume=True) == 0
+    target = tmp_path / "store"
+    target.mkdir()
+    (target / "cells.sqlite3").write_text("{ not json !")
+    with pytest.warns(RuntimeWarning, match="corrupt"):
+        assert store_map(_double, [1, 2], target) == [2, 4]
+    assert (target / "cells.sqlite3.corrupt").exists()
+
+
+def test_reseeded_retry_is_not_stored_under_the_original_cell(tmp_path):
+    # a reseeded retry is a different cell with its own key: its
+    # result fills the report, but no row claims the original cell
+    target = tmp_path / "store"
+    results = store_map(_boom_on_negative, [1, -2], target, retries=1,
+                        backoff_s=0, reseed=lambda cell, attempt: -cell)
+    assert results == [2, 4]
+    with ShardStore(target) as store:
+        assert store.results() == {cache_key(1): 2}
 
 
 def test_cell_key_is_canonical_json():
-    assert cell_key({"b": 1, "a": 2}) == cell_key({"a": 2, "b": 1})
-    assert cell_key((1, "x")) == cell_key([1, "x"])
-    assert cell_key(1) != cell_key("1")
+    assert cache_key({"b": 1, "a": 2}) == cache_key({"a": 2, "b": 1})
+    assert cache_key((1, "x")) == cache_key([1, "x"])
+    assert cache_key(1) != cache_key("1")
 
 
-def _await_journal_entry(cell):
-    """The slow cell waits (bounded) for the fast cell's checkpoint
-    line to reach the journal, and reports whether it did."""
+def _await_stored_row(cell):
+    """The slow cell waits (bounded) for the fast cell's row to reach
+    the store, and reports whether it did."""
     kind, path, other = cell
     if kind == "fast":
         return True
-    key = cell_key(other)
     deadline = time.monotonic() + 10
-    while time.monotonic() < deadline:
-        try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            lines = []
-        for line in lines:
-            try:
-                if json.loads(line).get("cell") == key:
-                    return True
-            except ValueError:
-                pass  # a line caught mid-append
-        time.sleep(0.01)
+    with ShardStore(path) as store:
+        while time.monotonic() < deadline:
+            if store.get_result(cache_key(other))[0]:
+                return True
+            time.sleep(0.01)
     return False
 
 
 def test_checkpoint_lands_in_completion_order(tmp_path):
-    # A fast cell submitted behind a slow one must reach the
-    # checkpoint while the slow one is still running: a kill in that
-    # window loses only the in-flight cell.
-    path = str(tmp_path / "ck.jsonl")
+    # A fast cell submitted behind a slow one must reach the store
+    # while the slow one is still running: a kill in that window
+    # loses only the in-flight cell.
+    path = str(tmp_path / "store")
     fast = ("fast", path, None)
     slow = ("slow", path, fast)
-    ck = CampaignCheckpoint(path, meta={})
-    results = cell_map(_await_journal_entry, [slow, fast], jobs=2,
-                       checkpoint=ck)
-    assert results == [True, True]
+    assert store_map(_await_stored_row, [slow, fast], path,
+                     jobs=2) == [True, True]
 
 
 # ------------------------------------------------------- campaign wiring
 
 
-def test_campaign_resume_report_is_byte_identical(tmp_path):
+def test_campaign_resume_report_is_byte_identical(tmp_path,
+                                                  monkeypatch):
     """The acceptance criterion, at campaign level: a killed-then-
-    resumed campaign renders the same report as an uninterrupted one,
+    rerun campaign renders the same report as an uninterrupted one,
     re-executing only unfinished cells."""
+    import repro.experiments.campaign as campaign_mod
     from repro.experiments.campaign import (build_cells, render_report,
                                             run_campaign,
                                             run_campaign_cell)
 
     names = ["table1", "table2"]
-    ck_path = tmp_path / "campaign.json"
-    meta = {"experiments": names, "quick": True, "seed": 1}
+    store_dir = tmp_path / "store"
 
     # The uninterrupted reference.
     cells, results = run_campaign(names, quick=True, seed=1)
     reference = render_report(cells, results)
 
-    # "Kill" a campaign after its first cell: manifest holds table1.
-    partial = CampaignCheckpoint(ck_path, meta=meta)
+    # "Kill" a campaign after its first cell: the store holds table1.
     first = build_cells(names, True, 1)[0]
-    partial.put(first, run_campaign_cell(first))
+    store_map(run_campaign_cell, [first], store_dir)
 
-    # Resume: table1 must come from the manifest, not re-run.
-    import repro.experiments.campaign as campaign_mod
-    real_cell = campaign_mod.run_campaign_cell
+    # Rerun: table1 must come from the store, not re-run.
     executed = []
-
-    def tracking(cell):
-        executed.append(cell["experiment"])
-        return real_cell(cell)
-
-    campaign_mod.run_campaign_cell = tracking
-    try:
-        cells2, results2 = run_campaign(
-            names, quick=True, seed=1, checkpoint_path=ck_path,
-            resume=True)
-    finally:
-        campaign_mod.run_campaign_cell = real_cell
-    assert executed == ["table2"]
+    monkeypatch.setattr(
+        campaign_mod, "run_campaign_cell",
+        _counting(executed, run_campaign_cell))
+    cells2, results2 = run_campaign(names, quick=True, seed=1,
+                                    store_dir=store_dir)
+    assert [cell["experiment"] for cell in executed] == ["table2"]
     assert render_report(cells2, results2) == reference
-    # Fully successful campaign removes its manifest.
-    assert not ck_path.exists()
+    # the finished campaign's rows stay: a rerun executes nothing
+    stats = {}
+    run_campaign(names, quick=True, seed=1, store_dir=store_dir,
+                 stats=stats)
+    assert len(executed) == 1 and stats == {"served": 2}
 
 
-# ------------------------------------------------- journal recovery (v2)
-
-
-def _journal_lines(path):
-    return path.read_text().splitlines()
-
-
-def test_put_appends_one_journal_line(tmp_path):
-    path = tmp_path / "ck.jsonl"
-    ck = CampaignCheckpoint(path, meta={"k": 1})
-    ck.put(1, 2)
-    ck.put(2, 4)
-    lines = _journal_lines(path)
-    assert len(lines) == 3  # header + one line per cell
-    header = json.loads(lines[0])
-    assert header["format"].endswith("v2")
-    assert header["meta"] == {"k": 1}
-
-
-def test_truncated_trailing_line_is_recovered_and_compacted(tmp_path):
-    path = tmp_path / "ck.jsonl"
-    ck = CampaignCheckpoint(path, meta={})
-    for cell in (1, 2, 3):
-        ck.put(cell, cell * 2)
-    # crash mid-append: the journal ends in half a JSON line
-    with open(path, "a") as fh:
-        fh.write('{"cell": "4", "resu')
-    fresh = CampaignCheckpoint(path, meta={})
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        assert fresh.load(resume=True) == 3
-    assert fresh.get(2) == 4
-    # the journal was compacted: the torn tail is gone for good
-    reloaded = CampaignCheckpoint(path, meta={})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert reloaded.load(resume=True) == 3
+# ----------------------------------------------------- store recovery
 
 
 def test_corrupt_middle_line_is_skipped_not_fatal(tmp_path):
-    path = tmp_path / "ck.jsonl"
-    ck = CampaignCheckpoint(path, meta={})
-    ck.put(1, 2)
-    ck.put(2, 4)
-    lines = _journal_lines(path)
-    lines[1] = lines[1][: len(lines[1]) // 2]  # corrupt entry for 1
-    path.write_text("\n".join(lines) + "\n")
-    fresh = CampaignCheckpoint(path, meta={})
+    target = tmp_path / "store"
+    store_map(_double, [1, 2, 3], target)
+    _corrupt(target, 2, "[4")  # torn row for cell 2
+    executed = []
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        assert fresh.load(resume=True) == 1
-    assert fresh.get(1) is fresh.MISS  # lost -> will re-run
-    assert fresh.get(2) == 4  # later entries survive the bad line
+        results = store_map(_counting(executed, _double), [1, 2, 3],
+                            target)
+    assert results == [2, 4, 6]
+    assert executed == [2]  # lost -> re-run; its neighbours survive
 
 
 def test_bitflipped_entry_fails_its_digest_and_is_dropped(tmp_path):
-    path = tmp_path / "ck.jsonl"
-    ck = CampaignCheckpoint(path, meta={})
-    ck.put(1, 1000)
-    lines = _journal_lines(path)
-    lines[1] = lines[1].replace("1000", "1001")  # still valid JSON
-    path.write_text("\n".join(lines) + "\n")
-    fresh = CampaignCheckpoint(path, meta={})
+    target = tmp_path / "store"
+    store_map(_double, [500], target)
+    _corrupt(target, 500, "1001")  # still valid JSON
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        assert fresh.load(resume=True) == 0
-    assert fresh.get(1) is fresh.MISS  # never served, recomputed
-
-
-def test_v1_manifest_still_loads(tmp_path):
-    path = tmp_path / "ck.json"
-    v1 = {"format": "repro-campaign-checkpoint-v1",
-          "meta": {"seed": 1},
-          "cells": {cell_key(1): 2, cell_key(2): 4}}
-    path.write_text(json.dumps(v1, indent=2) + "\n")
-    ck = CampaignCheckpoint(path, meta={"seed": 1})
-    assert ck.load(resume=True) == 2
-    assert ck.get(1) == 2
-    # the first write migrates the manifest to the journal format
-    ck.put(3, 6)
-    header = json.loads(_journal_lines(path)[0])
-    assert header["format"].endswith("v2")
-    fresh = CampaignCheckpoint(path, meta={"seed": 1})
-    assert fresh.load(resume=True) == 3
+        assert store_map(_double, [500], target) == [1000]
 
 
 def test_journal_survives_kill_mid_append(tmp_path):
-    """End-to-end: SIGKILL a campaign mid-append; the next load
-    recovers every fully-written line instead of raising."""
+    """End-to-end: SIGKILL a writer mid-stream; the store still opens
+    and serves every committed row, each intact."""
     import multiprocessing
-    import os
     import signal
-    import time
 
-    path = tmp_path / "ck.jsonl"
+    target = tmp_path / "store"
+    ShardStore(target).close()
 
     def writer():
-        ck = CampaignCheckpoint(path, meta={})
-        i = 0
-        while True:
-            ck.put(i, {"payload": "x" * 512, "i": i})
-            i += 1
+        with ShardStore(target) as store:
+            i = 0
+            while True:
+                keys, _ = store.open_sweep([i], serve=False)
+                store.complete(keys[0], {"payload": "x" * 512, "i": i})
+                i += 1
 
     proc = multiprocessing.Process(target=writer)
     proc.start()
     deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        try:
-            if path.stat().st_size > 64 * 1024:
-                break
-        except OSError:
-            pass
-        time.sleep(0.005)
+    with ShardStore(target) as store:
+        while time.monotonic() < deadline \
+                and store.counts().get("done", 0) < 100:
+            time.sleep(0.005)
     os.kill(proc.pid, signal.SIGKILL)
     proc.join()
-    ck = CampaignCheckpoint(path, meta={})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a torn tail may warn
-        recovered = ck.load(resume=True)
-    assert recovered > 0
-    for i in range(recovered):
-        assert ck.get(i) == {"payload": "x" * 512, "i": i}
+    with ShardStore(target) as store, warnings.catch_warnings():
+        warnings.simplefilter("error")  # no row may be torn
+        recovered = store.results()
+    assert len(recovered) >= 100
+    for i in range(len(recovered)):
+        assert recovered[cache_key(i)] == {"payload": "x" * 512, "i": i}
 
 
 # -------------------------------------------- broken pool (infrastructure)
@@ -414,13 +355,14 @@ def test_persistently_broken_pool_degrades_to_serial(tmp_path):
 
 
 def test_broken_pool_cells_checkpoint_after_respawn(tmp_path):
-    ck = CampaignCheckpoint(tmp_path / "ck.jsonl", meta={})
+    target = tmp_path / "store"
     cells = [(str(tmp_path / f"f{i}"), i) for i in range(3)]
-    results = cell_map(_broken_pool_once, cells, jobs=2,
-                       timeout_s=60, mark_failures=True,
-                       checkpoint=ck)
+    results = store_map(_broken_pool_once, cells, target, jobs=2,
+                        timeout_s=60, mark_failures=True)
     assert results == [0, 2, 4]
-    assert all(ck.get(cell) == cell[1] * 2 for cell in cells)
+    with ShardStore(target) as store:
+        assert store.results() == {cache_key(cell): cell[1] * 2
+                                   for cell in cells}
 
 
 def _log_run(cell):

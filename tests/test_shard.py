@@ -1,10 +1,10 @@
 """The leased work-stealing shard executor: serial equivalence,
-in-flight dedupe, checkpoint/cache short-circuits, poison-cell
-quarantine, SIGKILL survival, serial degradation — and the capstone
-chaos test: a multi-thousand-cell sweep that loses its supervisor
-*and* three workers to SIGKILL, resumes, and still produces results
-byte-identical to an uninterrupted serial run with no
-already-checkpointed cell executed twice."""
+in-flight dedupe, serving stored rows, poison-cell quarantine,
+wedged-cell timeouts, SIGKILL survival, serial degradation — and the
+capstone chaos test: a multi-thousand-cell sweep that loses its
+supervisor *and* three workers to SIGKILL, resumes, and still
+produces results byte-identical to an uninterrupted serial run with
+no already-stored cell executed twice."""
 
 import json
 import multiprocessing
@@ -15,10 +15,9 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments.cellcache import CellCache
-from repro.experiments.checkpoint import CampaignCheckpoint
 from repro.experiments.parallel import FailedCell
 from repro.experiments.shard import shard_map
+from repro.experiments.store import ShardStore, cache_key
 from repro.faults.procchaos import WorkerKiller
 
 
@@ -53,6 +52,15 @@ def _suicide_or_triple(cell):
     if cell.get("suicide"):
         os.kill(os.getpid(), signal.SIGKILL)
     return _triple(cell)
+
+
+def _store_rows(store_dir, cells, value) -> None:
+    """Record every cell of ``cells`` as done with ``value``, as an
+    earlier sweep over them would have."""
+    with ShardStore(store_dir) as store:
+        keys, _ = store.open_sweep(cells)
+        for key in keys:
+            store.complete(key, value)
 
 
 def _executions(log_dir) -> Counter:
@@ -97,38 +105,37 @@ def test_checkpointed_cells_replay_without_execution(tmp_path):
     log = tmp_path / "log"
     log.mkdir()
     cells = [{"i": i, "log": str(log)} for i in range(10)]
-    checkpoint = CampaignCheckpoint(tmp_path / "ck.jsonl",
-                                    meta={"m": 1})
-    for cell in cells[:6]:
-        checkpoint.put(cell, {"v": "replayed"})  # marker value
-    results = shard_map(_logged, cells, 2,
-                        store_dir=tmp_path / "store",
-                        checkpoint=checkpoint)
+    store_dir = tmp_path / "store"
+    _store_rows(store_dir, cells[:6], {"v": "replayed"})  # marker
+    stats = {}
+    results = shard_map(_logged, cells, 2, store_dir=store_dir,
+                        stats=stats)
     assert results[:6] == [{"v": "replayed"}] * 6
     assert results[6:] == [_triple(cell) for cell in cells[6:]]
     assert set(_executions(log)) == {6, 7, 8, 9}
+    assert stats == {"served": 6}
 
 
 def test_cache_hits_skip_execution_and_backfill_checkpoint(tmp_path):
     log = tmp_path / "log"
     log.mkdir()
     cells = [{"i": i, "log": str(log)} for i in range(6)]
-    cache = CellCache(tmp_path / "cache", fingerprint="fp-shard")
-    for cell in cells[:4]:
-        cache.put(cell, {"v": "cached"})
-    checkpoint = CampaignCheckpoint(tmp_path / "ck.jsonl",
-                                    meta={"m": 1})
-    results = shard_map(_logged, cells, 2,
-                        store_dir=tmp_path / "store",
-                        checkpoint=checkpoint, cache=cache)
+    store_dir = tmp_path / "store"
+    # an earlier, different sweep finished the first four cells (and
+    # left one cell of its own unfinished)
+    _store_rows(store_dir, cells[:4], {"v": "cached"})
+    with ShardStore(store_dir) as store:
+        store.open_sweep(cells[:4] + [{"i": 99, "log": str(log)}])
+    results = shard_map(_logged, cells, 2, store_dir=store_dir)
     assert results == [{"v": "cached"}] * 4 + \
         [_triple(cell) for cell in cells[4:]]
     assert set(_executions(log)) == {4, 5}
-    # cache hits are copied into the checkpoint, and computed cells
-    # land in the cache: both layers end up complete
-    assert all(checkpoint.get(cell) is not checkpoint.MISS
-               for cell in cells)
-    assert all(cache.get(cell) is not cache.MISS for cell in cells)
+    # every cell of this sweep now has its done row; the other
+    # sweep's unfinished row was pruned
+    with ShardStore(store_dir) as store:
+        assert set(store.results()) == {cache_key(cell)
+                                         for cell in cells}
+        assert store.counts() == {"done": 6}
 
 
 def _outlives_lease(cell):
@@ -189,6 +196,31 @@ def test_unrespawnable_pool_degrades_to_serial(tmp_path):
     assert results == [_triple(cell) for cell in cells]
 
 
+def _wedge_or_triple(cell):
+    """A cell that never returns (within the test) when asked to."""
+    if cell.get("wedge"):
+        time.sleep(30)
+    return _triple(cell)
+
+
+def test_timeout_kills_a_wedged_worker(tmp_path):
+    """A cell that never returns costs one worker, not the sweep: the
+    supervisor kills the worker still running it past ``timeout_s``,
+    the respawn budget replaces the worker, the cell ends as
+    FAILED(timeout) and no late result can land over it."""
+    cells = [{"i": i} for i in range(8)]
+    cells.insert(0, {"i": 99, "wedge": True})
+    start = time.monotonic()
+    results = shard_map(_wedge_or_triple, cells, 2,
+                        store_dir=tmp_path / "store", timeout_s=1.0,
+                        lease_s=0.5)
+    assert time.monotonic() - start < 15
+    wedge = results[0]
+    assert isinstance(wedge, FailedCell)
+    assert wedge.render() == "FAILED(timeout)"
+    assert results[1:] == [_triple(cell) for cell in cells[1:]]
+
+
 def test_failing_cell_retries_then_marks_failed(tmp_path):
     def check(results):
         failure = results[1]
@@ -215,21 +247,17 @@ def _boom_flagged(cell):
 
 
 CAPSTONE_N = 2400
-CAPSTONE_META = {"sweep": "capstone"}
 
 
 def _capstone_cells(log_dir):
     return [{"i": i, "log": str(log_dir)} for i in range(CAPSTONE_N)]
 
 
-def _capstone_child(store_dir, checkpoint_path, log_dir):
+def _capstone_child(store_dir, log_dir):
     """Phase-1 supervisor, run in a child so the test can SIGKILL
     it."""
-    checkpoint = CampaignCheckpoint(checkpoint_path,
-                                    meta=CAPSTONE_META)
-    checkpoint.load(resume=True)
     shard_map(_logged, _capstone_cells(log_dir), 3,
-              store_dir=store_dir, lease_s=0.5, checkpoint=checkpoint)
+              store_dir=store_dir, lease_s=0.5)
 
 
 def _render(cells, results):
@@ -240,61 +268,55 @@ def _render(cells, results):
 
 def test_chaos_capstone_supervisor_and_worker_sigkills(tmp_path):
     """The acceptance scenario: a multi-thousand-cell sweep loses its
-    supervisor to SIGKILL mid-run, is resumed (the ``--resume``
-    machinery: same checkpoint journal, same store), loses three more
-    workers to seeded SIGKILLs — and the merged report is
-    byte-identical to an uninterrupted serial run, with no cell
-    executed again once checkpointed."""
+    supervisor to SIGKILL mid-run, is run again against the same
+    store, loses three more workers to seeded SIGKILLs — and the
+    merged report is byte-identical to an uninterrupted serial run,
+    with no cell executed again once its row was stored."""
     log = tmp_path / "log"
     log.mkdir()
     store_dir = tmp_path / "store"
-    checkpoint_path = tmp_path / "ck.jsonl"
     cells = _capstone_cells(log)
 
     # the uninterrupted serial reference (pure compute, no store)
     reference = _render(cells, [_triple(cell) for cell in cells])
 
     # phase 1: SIGKILL the whole sharded campaign mid-sweep
+    ShardStore(store_dir).close()  # created before the child races it
     child = multiprocessing.Process(
-        target=_capstone_child,
-        args=(str(store_dir), str(checkpoint_path), str(log)))
+        target=_capstone_child, args=(str(store_dir), str(log)))
     child.start()
     deadline = time.monotonic() + 60
-    while time.monotonic() < deadline and child.is_alive():
-        try:
-            with open(checkpoint_path) as fh:
-                finished = sum(1 for _ in fh) - 1
-        except OSError:
-            finished = 0
-        if finished >= CAPSTONE_N // 8:
-            break
-        time.sleep(0.01)
+    with ShardStore(store_dir) as store:
+        while time.monotonic() < deadline and child.is_alive():
+            if store.counts().get("done", 0) >= CAPSTONE_N // 8:
+                break
+            time.sleep(0.01)
     assert child.is_alive(), "sweep finished before it could be killed"
     os.kill(child.pid, signal.SIGKILL)
     child.join()
 
-    checkpoint = CampaignCheckpoint(checkpoint_path,
-                                    meta=CAPSTONE_META)
-    replayed = checkpoint.load(resume=True)
-    assert 0 < replayed < CAPSTONE_N, "kill landed mid-sweep"
+    with ShardStore(store_dir) as store:
+        stored = set(store.done_keys())
     finished_keys = {cell["i"] for cell in cells
-                     if checkpoint.get(cell) is not checkpoint.MISS}
+                     if cache_key(cell) in stored}
+    assert 0 < len(finished_keys) < CAPSTONE_N, "kill landed mid-sweep"
     # give phase-1 orphan workers a beat to notice the dead
     # supervisor and exit before counting phase-1 executions
     time.sleep(0.3)
     phase1 = _executions(log)
 
-    # phase 2: resume; SIGKILL three workers while it runs
+    # phase 2: rerun; SIGKILL three workers while it runs
     killer = WorkerKiller(3, seed=11, min_gap_s=0.05, max_gap_s=0.15)
+    stats = {}
     results = shard_map(_logged, cells, 3, store_dir=store_dir,
-                        lease_s=0.5, checkpoint=checkpoint,
-                        chaos=killer)
+                        lease_s=0.5, chaos=killer, stats=stats)
 
     assert len(killer.killed) >= 3
+    assert stats["served"] >= len(finished_keys)
     report = _render(cells, results)
     assert report == reference  # byte-identical to the serial run
 
-    # no cell executed twice once a checkpointed result existed
+    # no cell executed twice once a stored result existed
     phase2 = _executions(log)
     phase2.subtract(phase1)
     re_executed = {i for i, extra in phase2.items()
@@ -315,18 +337,20 @@ def test_run_campaign_through_shard_executor(tmp_path, monkeypatch):
 
     monkeypatch.setattr(campaign, "run_campaign_cell",
                         _fake_campaign_cell)
-    checkpoint_path = tmp_path / "ck.jsonl"
     store_dir = tmp_path / "store"
+    stats = {}
     cells, results = campaign.run_campaign(
-        ["alpha", "beta"], quick=True, seed=1,
-        checkpoint_path=checkpoint_path, shard_workers=2,
-        store_dir=store_dir)
+        ["alpha", "beta"], quick=True, seed=1, shard_workers=2,
+        store_dir=store_dir, stats=stats)
     assert [r["experiment"] for r in results] == ["alpha", "beta"]
+    assert stats == {"served": 0}
     report = campaign.render_report(cells, results)
     assert "rows for alpha" in report and "rows for beta" in report
-    # a fully successful campaign removes both manifest and store
-    assert not checkpoint_path.exists()
-    assert not (store_dir / "cells.sqlite3").exists()
+    # a successful campaign keeps its rows: a rerun is served them
+    _, again = campaign.run_campaign(
+        ["alpha", "beta"], quick=True, seed=1, shard_workers=2,
+        store_dir=store_dir, stats=stats)
+    assert again == results and stats == {"served": 2}
 
 
 def test_run_campaign_rejects_reseed_with_sharding(tmp_path):
@@ -344,5 +368,5 @@ def test_cli_accepts_shard_flags():
         ["run", "--shard-workers", "4", "--store-dir", "/tmp/s",
          "--resume"])
     assert args.shard_workers == 4
-    assert args.store_dir == "/tmp/s"
+    assert args.cache_dir == "/tmp/s"  # one store, two spellings
     assert args.resume

@@ -62,6 +62,32 @@ def test_prune_except_scopes_store_to_one_sweep(store):
     assert store.prune_except(["k1", "k3"]) == 0
 
 
+def test_prune_except_keeps_done_rows(store):
+    # another sweep's finished cells are the cache: never pruned
+    store.add_cells(keyed(3))
+    key, _ = store.claim("w", 10)
+    store.complete(key, {"v": 1})
+    assert store.prune_except([]) == 2
+    assert store.counts() == {"done": 1}
+    assert store.get_result(key) == (True, {"v": 1})
+
+
+def test_add_cells_retries_failed_rows_and_resets_on_request(store):
+    store.add_cells(keyed(2))
+    first, _ = store.claim("w", 10)
+    store.fail_attempt(first, "boom", retries=0, backoff_s=0)
+    second, _ = store.claim("w", 10)
+    store.complete(second, {"v": 2})
+    # the next sweep retries the failure with a fresh budget and keeps
+    # the result
+    store.add_cells(keyed(2))
+    assert store.counts() == {"done": 1, "pending": 1}
+    assert store.failures() == {}
+    # a recompute (serving off) puts the done row back in the queue
+    store.add_cells(keyed(2), reset=True)
+    assert store.counts() == {"pending": 2}
+
+
 # ------------------------------------------------------------ leasing
 
 
@@ -222,17 +248,6 @@ def test_garbage_database_is_recovered(tmp_path):
         assert s.claim("w", 10) == ("k0", {"i": 0})
     finally:
         s.close()
-
-
-def test_clear_removes_database(tmp_path):
-    target = tmp_path / "store"
-    s = ShardStore(target, fingerprint="fp")
-    s.add_cells(keyed(1))
-    s.clear()
-    assert not (target / "cells.sqlite3").exists()
-    # a fresh store starts empty
-    with ShardStore(target, fingerprint="fp") as s2:
-        assert s2.counts() == {}
 
 
 def test_concurrent_connections_share_one_queue(tmp_path, clock):

@@ -276,10 +276,14 @@ def test_ule_runs_threads_to_completion_multicore():
 
 
 def test_one_priority_computation_per_tick_driven_switch(monkeypatch):
-    """16 spinners on one core switch on nearly every stathz tick.  The
-    tick scores the outgoing thread, and the requeue in pick_next
-    reuses that score (its history has not moved since), so ULE
-    computes at most one priority per tick plus one per enqueue."""
+    """16 spinners on one core switch on nearly every stathz tick, and
+    ULE computes at most one priority per tick plus one per enqueue.
+    The spinners stay interactive for all 2,000 ticks (a score of
+    about 20 against the threshold of 30), so every switch goes
+    through the realtime queue and never the calendar requeue; the
+    batch path, where pick_next's requeue reuses the tick's score, is
+    covered by test_batch_tick_driven_switch_skips_the_calendar_calls.
+    """
     import repro.ule.core as ule_core
     from repro.tracing.digest import schedule_digest
     from repro.ule.core import UleScheduler
