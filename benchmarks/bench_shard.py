@@ -74,8 +74,7 @@ def _measure_all() -> dict:
 
 
 def _measure(workers: int) -> dict:
-    from repro.experiments.parallel import FailedCell
-    from repro.experiments.shard import shard_map
+    from repro.experiments.shard import FailedCell, shard_map
     from repro.faults.__main__ import shard_chaos_cell
 
     cells = _cells()

@@ -182,10 +182,9 @@ DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     # RNG is seeded and private, never the process-global state
     "unseeded-random": ("repro/core/rng.py", "repro/faults/plan.py"),
     # host-side process orchestration, not simulation: lease
-    # heartbeat deadlines, per-cell pool timeouts and SIGKILL/waitpid
+    # heartbeat deadlines, per-cell timeouts and SIGKILL/waitpid
     # loops time *real* processes — there is no engine.now to use
     "wall-clock": ("repro/experiments/shard.py",
-                   "repro/experiments/parallel.py",
                    "repro/faults/__main__.py"),
 }
 

@@ -1,7 +1,7 @@
 """Crash-safe campaign runner: ``python -m repro.experiments``.
 
-Runs a list of experiments (default: all of them) with the hardened
-fan-out — per-cell timeouts, bounded retries, ``FAILED`` markers —
+Runs a list of experiments (default: all of them) on the leased shard
+executor — per-cell timeouts, bounded retries, ``FAILED`` markers —
 recording each finished cell in the result store (``--cache-dir``),
 so an interrupted run restarts by running it again and re-executes
 only the unfinished cells::
@@ -22,8 +22,8 @@ import sys
 
 from ..core.artifacts import atomic_write_text
 from .campaign import render_report, run_campaign
-from .parallel import FailedCell
 from .registry import experiment_names
+from .shard import FailedCell
 from .store import DEFAULT_DIR as DEFAULT_STORE_DIR
 
 
@@ -35,33 +35,28 @@ def _cmd_run(args) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)} "
               f"(known: {known})", file=sys.stderr)
         return 2
-    jobs = args.jobs
-    if args.shard_workers is not None and args.profile:
-        print("--profile is serial in-process; --shard-workers "
-              "ignored", file=sys.stderr)
-        args.shard_workers = None
-    if args.shard_workers is not None and args.reseed:
-        print("--reseed is incompatible with --shard-workers "
-              "(sharded cells are content-addressed)",
-              file=sys.stderr)
-        return 2
+    jobs, timeout = args.jobs, args.timeout
     if args.profile:
         # Profiling aggregates the process-wide profiler across every
-        # cell, which requires running serially in-process, and a
-        # served cell executes nothing to measure.
+        # cell, which requires running in-process (so no worker, and
+        # no timeout, which needs a worker to kill), and a served cell
+        # executes nothing to measure.
         os.environ["REPRO_PROFILE"] = "1"
         if jobs not in (None, 1):
             print("--profile forces serial execution (--jobs ignored)",
                   file=sys.stderr)
-        jobs = None
+        if timeout is not None:
+            print("--profile runs in-process (--timeout ignored)",
+                  file=sys.stderr)
+        jobs = timeout = None
     stats: dict = {}
     cells, results = run_campaign(
         names, quick=not args.full, seed=args.seed, jobs=jobs,
-        timeout_s=args.timeout, retries=args.retries,
+        timeout_s=timeout, retries=args.retries,
         backoff_s=args.backoff, reseed=args.reseed,
         store_dir=args.cache_dir,
         serve=args.resume or not (args.no_cache or args.profile),
-        shard_workers=args.shard_workers, stats=stats)
+        stats=stats)
     # stderr: the stdout report must stay byte-identical whether
     # cells were computed or served from the store
     print(f"cell cache: {stats['served']} hit(s), "
@@ -96,19 +91,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="full-size configuration (slower)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", "-j", type=int, default=None,
-                   help="worker processes (0 = all cores)")
-    p.add_argument("--shard-workers", type=int, default=None,
-                   metavar="N",
-                   help="run through the leased work-stealing shard "
-                        "executor with N workers sharing the on-disk "
-                        "store (crash-tolerant: survives worker "
-                        "SIGKILLs and supervisor death; see "
+    p.add_argument("--jobs", "-j", "--shard-workers", dest="jobs",
+                   type=int, default=None, metavar="N",
+                   help="leased worker processes sharing the result "
+                        "store (0 = all cores; unset or 1 = "
+                        "in-process); crash-tolerant: survives worker "
+                        "SIGKILLs and supervisor death (see "
                         "docs/distributed-campaigns.md)")
     p.add_argument("--timeout", type=float, default=None,
-                   metavar="S", help="per-cell wall-clock timeout")
+                   metavar="S",
+                   help="per-cell wall-clock timeout (a cell runs in "
+                        "a worker process, which is killed past it)")
     p.add_argument("--retries", type=int, default=0,
-                   help="re-run failed cells up to N extra times")
+                   help="re-run failed cells up to N extra times "
+                        "(with --reseed: N reseeded retry rounds)")
     p.add_argument("--backoff", type=float, default=0.5, metavar="S",
                    help="base for exponential retry backoff")
     p.add_argument("--reseed", action="store_true",
@@ -134,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "rows invalidate automatically when "
                         "src/repro changes")
     p.add_argument("--profile", action="store_true",
-                   help="run serially and report per-subsystem event "
+                   help="run in-process (--jobs and --timeout are "
+                        "ignored) and report per-subsystem event "
                         "counts and self-time aggregated over every "
                         "cell (recomputes served cells; see "
                         "docs/performance.md)")

@@ -1,11 +1,11 @@
 """Resumable experiment campaigns (``python -m repro.experiments``).
 
 A *campaign* runs a list of experiments as independent cells through
-the hardened :func:`~repro.experiments.parallel.cell_map` — per-cell
-timeouts, bounded retries with exponential backoff, graceful
-``FAILED(reason)`` rows — and records every finished cell as a row of
-the result store (:mod:`~repro.experiments.store`) the moment it
-finishes.  A rerun is served those rows instead of recomputing them,
+the leased shard executor (:func:`~repro.experiments.shard.shard_map`)
+— per-cell timeouts, bounded retries with exponential backoff,
+graceful ``FAILED(reason)`` rows — and records every finished cell as
+a row of the result store (:mod:`~repro.experiments.store`) the moment
+it finishes.  A rerun is served those rows instead of recomputing them,
 so an interrupted run resumes by running it again, and a warm rerun
 of an unchanged campaign executes nothing.
 
@@ -19,12 +19,11 @@ one.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Sequence
 
-from .parallel import FailedCell, cell_map
 from .registry import QUICK_EVENTS, run_experiment
-from .store import DEFAULT_DIR as DEFAULT_STORE_DIR
-from .store import store_map
+from .shard import FailedCell, shard_map
 
 REPORT_HEADER = ("# Reproduction report\n"
                  "# The Battle of the Schedulers: FreeBSD ULE vs. "
@@ -43,9 +42,9 @@ def run_campaign_cell(cell: dict) -> dict:
 
 def cell_cost(cell: dict) -> int:
     """A cell's dispatch hint: its experiment's quick-mode event
-    count (:data:`~repro.experiments.registry.QUICK_EVENTS`).  A
-    pool submits the costliest cells first, so the longest one does
-    not run alone at the end while the other workers idle."""
+    count (:data:`~repro.experiments.registry.QUICK_EVENTS`).  The
+    executor leases the costliest cells first, so the longest one
+    does not run alone at the end while the other workers idle."""
     return QUICK_EVENTS.get(cell["experiment"], 0)
 
 
@@ -59,8 +58,11 @@ def build_cells(names: Sequence[str], quick: bool,
 def reseed_cell(cell: dict, attempt: int) -> dict:
     """The campaign reseeding policy: retry ``attempt`` perturbs the
     cell's seed by a large deterministic stride, dodging a
-    seed-specific pathology.  Opt-in (``--reseed``) because it trades
-    byte-identical reports for forward progress."""
+    seed-specific pathology.  Rounds compound: round ``k`` reseeds
+    the cell round ``k - 1`` ran, so the seed moves by
+    ``100_000 * (1 + 2 + ... + k)`` in all.  Opt-in (``--reseed``)
+    because it trades byte-identical reports for forward progress.  The reseeded cell
+    is a new cell, stored under its own key."""
     return dict(cell, seed=cell["seed"] + 100_000 * attempt)
 
 
@@ -87,49 +89,49 @@ def render_report(cells: Sequence[dict], results: Sequence) -> str:
 def run_campaign(names: Sequence[str], quick: bool = True,
                  seed: int = 1, jobs: Optional[int] = None,
                  timeout_s: Optional[float] = None, retries: int = 0,
-                 backoff_s: float = 0.5, reseed: bool = False,
-                 store_dir=None, serve: bool = True,
-                 shard_workers: Optional[int] = None,
+                 backoff_s: float = 0.5, reseed: bool = False, *,
+                 store_dir, serve: bool = True,
                  stats: Optional[dict] = None) -> tuple[list, list]:
     """Run a campaign; returns ``(cells, results)`` where each result
     is a summary dict or a :class:`FailedCell` marker.
 
-    ``store_dir`` is the result store: each finished cell's row is
-    written there as it finishes and, with ``serve``, a cell whose
-    row is already there is served instead of run.  Without it the
-    ``jobs`` path computes every cell and records nothing.  A
-    reseeded retry is a different cell, so its result is reported but
-    not stored under the original cell.  ``stats["served"]``, when
-    given, receives the number of cells served.
+    The cells run on :func:`~repro.experiments.shard.shard_map` with
+    ``jobs`` leased workers (``None`` or ``1``: in-process, ``0``: all
+    cores), costliest first.  ``store_dir`` is the result store: each
+    finished cell's row is written there as it finishes and, with
+    ``serve``, a cell whose row is already there is served instead of
+    run.  ``stats["served"]``, when given, receives the number of
+    cells served.
 
-    ``shard_workers`` switches the map to the leased work-stealing
-    shard executor (:mod:`~repro.experiments.shard`,
-    docs/distributed-campaigns.md): workers coordinate through the
-    store under ``store_dir`` (default
-    :data:`~repro.experiments.store.DEFAULT_DIR`) and the sweep
-    survives worker SIGKILLs, poison cells, and supervisor crashes.
-    Incompatible with ``reseed`` (shard results must stay
-    content-addressed) — sharded retries re-run the cell's own
-    parameters.
+    With ``reseed``, ``retries`` counts retry rounds after the sweep:
+    round ``k`` re-sweeps the still-failed cells, each as
+    ``reseed_cell`` of the cell round ``k - 1`` ran.  A reseeded cell
+    is a new cell under its own key, never the original's; its result
+    is placed at the original cell's position.
     """
     cells = build_cells(names, quick, seed)
-    if shard_workers is not None:
-        if reseed:
-            raise ValueError("--reseed is incompatible with "
-                             "--shard-workers (sharded cells are "
-                             "content-addressed by their parameters)")
-        from .shard import shard_map
-        results = shard_map(run_campaign_cell, cells, shard_workers,
-                            store_dir=store_dir or DEFAULT_STORE_DIR,
-                            serve=serve, stats=stats,
-                            timeout_s=timeout_s, retries=retries,
-                            backoff_s=backoff_s)
-        return cells, results
-    options = dict(jobs=jobs, timeout_s=timeout_s, retries=retries,
-                   backoff_s=backoff_s,
-                   reseed=reseed_cell if reseed else None,
-                   mark_failures=True, cost=cell_cost)
-    if store_dir is None:
-        return cells, cell_map(run_campaign_cell, cells, **options)
-    return cells, store_map(run_campaign_cell, cells, store_dir,
-                            serve=serve, stats=stats, **options)
+
+    def sweep(batch, budget, stats=None):
+        return shard_map(run_campaign_cell, batch, jobs,
+                         store_dir=store_dir, serve=serve, stats=stats,
+                         timeout_s=timeout_s, retries=budget,
+                         backoff_s=backoff_s, cost=cell_cost)
+
+    results = sweep(cells, 0 if reseed else retries, stats)
+    live = list(cells)  # the cell each position last ran as
+    for attempt in range(1, retries + 1 if reseed else 1):
+        failed = [index for index, result in enumerate(results)
+                  if isinstance(result, FailedCell)]
+        if not failed:
+            break
+        time.sleep(backoff_s * 2 ** (attempt - 1))
+        for index in failed:
+            live[index] = reseed_cell(live[index], attempt)
+        retried = sweep([live[index] for index in failed], 0)
+        for index, result in zip(failed, retried):
+            if isinstance(result, FailedCell):
+                result = FailedCell(
+                    cells[index], result.reason, result.error,
+                    results[index].attempts + result.attempts)
+            results[index] = result
+    return cells, results

@@ -1,12 +1,11 @@
-"""Leased work-stealing shard executor for campaign sweeps.
+"""Leased work-stealing shard executor: the campaign executor.
 
-:func:`shard_map` is the distributed sibling of
-:func:`~repro.experiments.parallel.cell_map`: same contract (apply
-``fn`` to every cell, results back in submission order, failures as
-:class:`~repro.experiments.parallel.FailedCell` markers), but the
-workers coordinate through the shared on-disk result store
-(:class:`~repro.experiments.store.ShardStore`) instead of pipes to a
-parent — which is what lets the sweep survive anything short of
+:func:`shard_map` applies ``fn`` to every cell and returns the results
+in submission order, with failures as :class:`FailedCell` markers.
+Every campaign sweep runs on it (``python -m repro.experiments run
+--jobs N``): its workers coordinate through the shared on-disk result
+store (:class:`~repro.experiments.store.ShardStore`) instead of pipes
+to a parent, which is what lets the sweep survive anything short of
 losing the disk:
 
 * **Worker crash (any signal, incl. SIGKILL)** — the dead worker's
@@ -18,14 +17,21 @@ losing the disk:
   a ``FAILED(poison)`` row instead of taking the sweep down with it.
 * **Wedged cells** — with ``timeout_s`` set, the supervisor kills a
   worker whose cell has run longer than that and records a timeout
-  attempt, so a cell that never returns costs one worker (respawned)
-  and ends as ``FAILED(timeout)``, like under ``cell_map``.
+  attempt, so a cell that never returns costs one worker and ends as
+  ``FAILED(timeout)``.  The replacement is not charged to the respawn
+  budget: a timeout kill is not a crash.
 * **Supervisor crash** — every finished cell is already a ``done``
   row of the store; re-running the same sweep against the same
   ``store_dir`` serves those rows and re-executes only the rest.
 * **Pool collapse** — if no worker can be (re)spawned, the supervisor
   degrades to executing the remaining cells serially in-process; the
-  sweep finishes slower instead of not at all.
+  sweep finishes slower instead of not at all.  With ``timeout_s``
+  set it cannot (it could not kill itself over a wedged cell), so the
+  remaining cells end as ``FAILED(pool)`` instead.
+* **Interrupt** — when the supervisor is interrupted (Ctrl-C), it
+  stops its workers and hands every lease they and it held straight
+  back as ``pending``, without counting a crash, so a rerun claims
+  those cells at once.
 * **Corrupt artifacts** — a torn store row or database is detected
   by digest, discarded with a single warning, and recomputed (see
   store.py).
@@ -35,11 +41,6 @@ functions of their content, results are plain JSON, and the output
 list is ordered by submission — so a sharded, crashed, resumed sweep
 renders a report byte-identical to an uninterrupted serial run
 (asserted by ``make shard-chaos-smoke`` and the chaos tests).
-
-In-flight dedupe rides on content addressing: store rows are keyed by
-:func:`~repro.experiments.store.cache_key`, so identical cells
-collapse to one row, one execution, one result — and a cell whose
-row is already ``done`` is never executed at all.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from .parallel import FailedCell
+from .parallel import default_jobs
 from .store import DEFAULT_CLAIM_BATCH, DEFAULT_MAX_CRASHES, ShardStore
 
 #: default lease duration; workers heartbeat at a third of this, so a
@@ -61,20 +63,35 @@ DEFAULT_LEASE_S = 2.0
 DEFAULT_POLL_S = 0.05
 
 
+@dataclass
+class FailedCell:
+    """Marker returned in place of a result for a cell that exhausted
+    its retries, timed out or was quarantined.
+
+    ``reason`` is ``"error"``, ``"timeout"``, ``"poison"`` or
+    ``"pool"`` (no worker was left to run it under a timeout);
+    ``error`` carries the exception summary for error failures;
+    ``attempts`` counts the runs consumed.  Renders as
+    ``FAILED(reason)`` in reports.
+    """
+
+    cell: Any
+    reason: str
+    error: str = ""
+    attempts: int = 1
+
+    def render(self) -> str:
+        """The report marker, e.g. ``FAILED(timeout)``."""
+        detail = f": {self.error}" if self.error else ""
+        return f"FAILED({self.reason}{detail})"
+
+
 def default_respawn_budget(workers: int) -> int:
     """How many replacement workers the supervisor will spawn before
     declaring the pool unrespawnable: generous enough to ride out a
     chaos run's kills, small enough that a crash-looping environment
     degrades to serial instead of forking forever."""
     return 4 * max(1, workers)
-
-
-def _fail_reason(reason: str) -> tuple:
-    """Split a store failure reason into FailedCell (reason, error)."""
-    kind, _, detail = reason.partition(": ")
-    if kind in ("poison", "error", "timeout"):
-        return kind, detail
-    return "error", reason
 
 
 def _owner(pid: int) -> str:
@@ -137,26 +154,21 @@ class _Heartbeat:
 
 def _drain(store: ShardStore, fn: Callable, owner: str, *,
            lease_s: float, retries: int, backoff_s: float,
-           poll_s: float = DEFAULT_POLL_S,
-           parent_pid: Optional[int] = None,
-           max_cells: Optional[int] = None,
-           claim_k: int = DEFAULT_CLAIM_BATCH) -> int:
+           claim_k: int, poll_s: float = DEFAULT_POLL_S,
+           parent_pid: Optional[int] = None) -> None:
     """The claim/execute/complete loop shared by worker processes and
-    the supervisor's serial-degradation path.  Claims up to
+    the supervisor's in-process drain.  Claims up to
     ``claim_k`` cells per store write transaction
     (:meth:`ShardStore.claim_batch`) and renews the whole batch with
     one heartbeat thread, so per-cell store traffic is one fused
-    complete+start-next write plus a share of a batch renew.  Returns
-    the number of cells executed.  Exits when every cell is terminal,
-    when ``max_cells`` is reached, or — for workers — when the
-    supervisor (``parent_pid``) is gone."""
-    done = 0
-    while max_cells is None or done < max_cells:
+    complete+start-next write plus a share of a batch renew.  Exits
+    when every cell is terminal or — for workers — when the
+    supervisor (``parent_pid``) is gone.  A KeyboardInterrupt or
+    SystemExit in ``fn`` propagates with the batch still leased."""
+    while True:
         if parent_pid is not None and os.getppid() != parent_pid:
             break  # orphaned: supervisor died, don't run headless
-        want = (claim_k if max_cells is None
-                else min(claim_k, max_cells - done))
-        batch = store.claim_batch(owner, lease_s, want)
+        batch = store.claim_batch(owner, lease_s, claim_k)
         if not batch:
             if store.all_terminal():
                 break
@@ -185,10 +197,7 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
                             if pos + 1 < len(batch) else None)
                 try:
                     result = fn(cell)
-                except BaseException as exc:
-                    if not isinstance(exc, Exception):
-                        raise  # KeyboardInterrupt/SystemExit: die
-                        #        leased, lease expiry hands cells on
+                except Exception as exc:
                     store.fail_attempt(
                         key, f"{type(exc).__name__}: {exc}",
                         retries=retries, backoff_s=backoff_s)
@@ -196,16 +205,14 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
                 else:
                     ours = store.complete(key, result, owner=owner,
                                           start_next=next_key)
-                done += 1
                 held[0] = tuple(k for k in held[0] if k != key)
         finally:
             beat.stop()
-    return done
 
 
 def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
                  fingerprint, max_crashes, parent_pid,
-                 claim_k=DEFAULT_CLAIM_BATCH) -> None:
+                 claim_k) -> None:
     """Worker process entry point: open the shared store and drain."""
     # warm-engine reuse: a worker runs many cells, and campaign cells
     # repeat (topology, scheduler) configurations — let make_engine
@@ -220,27 +227,30 @@ def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
 
 
 def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
-              workers: int, *, store_dir,
+              workers: Optional[int] = None, *, store_dir,
               serve: bool = True,
               stats: Optional[dict] = None,
               lease_s: float = DEFAULT_LEASE_S,
               timeout_s: Optional[float] = None,
               retries: int = 0,
               backoff_s: float = 0.5,
+              cost: Optional[Callable[[Any], float]] = None,
               max_crashes: int = DEFAULT_MAX_CRASHES,
               respawn_budget: Optional[int] = None,
               poll_s: float = DEFAULT_POLL_S,
-              claim_k: int = DEFAULT_CLAIM_BATCH,
               chaos: Optional[Callable] = None) -> list:
     """Apply ``fn`` to every cell through ``workers`` leased
     work-stealing processes sharing the store at ``store_dir``.
 
-    Same result contract as
-    :func:`~repro.experiments.parallel.cell_map` with
-    ``mark_failures=True``: a list in submission order, exhausted,
-    timed-out or quarantined cells as :class:`FailedCell` markers.
+    Returns a list in submission order; exhausted, timed-out or
+    quarantined cells come back as :class:`FailedCell` markers.
     ``fn`` must be module-level and cells/results plain JSON data
     (the store persists them as canonical JSON).
+
+    ``workers`` ``None`` or ``1`` drains the queue in the calling
+    process, unless ``timeout_s`` is set: only a separate process can
+    be killed, so then one worker is spawned.  ``0`` means all cores.
+    No more workers are spawned than there are cells to run.
 
     A cell whose ``done`` row is already in the store is served from
     it (with ``serve``) and never executed; ``stats["served"]``, when
@@ -248,33 +258,44 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     one cell's run: the supervisor kills the worker running it past
     that and records a timeout attempt, retried like an error.
 
+    ``cost(cell)`` estimates a cell's run time.  With it, the cells
+    are enqueued costliest first (ties in cell order) and leased one
+    per claim, so the longest cell does not start last while the
+    other workers idle, nor share a worker with the next longest;
+    without it, workers lease
+    :data:`~repro.experiments.store.DEFAULT_CLAIM_BATCH` cells per
+    claim.
+
     ``chaos`` is the fault-injection hook: a callable invoked each
     supervisor poll with the list of live worker ``Process`` objects
     (see :mod:`repro.faults.procchaos`).
     """
     cells = list(cells)
+    if workers == 0:
+        workers = default_jobs()
     store = ShardStore(store_dir, max_crashes=max_crashes)
     try:
-        keys, served = store.open_sweep(cells, serve=serve)
+        keys, served = store.open_sweep(cells, serve=serve, cost=cost)
         if stats is not None:
             stats["served"] = sum(1 for key in keys if key in served)
-        _supervise(store, fn, workers,
+        unserved = len(set(keys) - served.keys())
+        _supervise(store, fn, max(1, min(workers or 1, unserved)),
                    lease_s=lease_s, timeout_s=timeout_s,
                    retries=retries, backoff_s=backoff_s,
                    max_crashes=max_crashes,
                    respawn_budget=respawn_budget,
-                   poll_s=poll_s, claim_k=claim_k,
+                   poll_s=poll_s,
+                   claim_k=DEFAULT_CLAIM_BATCH if cost is None else 1,
                    chaos=chaos, store_dir=store_dir)
         failures = store.failures()
         results = []
         for cell, key in zip(cells, keys):
-            if key in served:
-                results.append(served[key])
-                continue
-            found, value = store.get_result(key)
+            found, value = ((True, served[key]) if key in served
+                            else store.get_result(key))
             if not found and key in failures:
                 reason, attempts, crashes = failures[key]
-                kind, detail = _fail_reason(reason)
+                # every store reason is "kind" or "kind: detail"
+                kind, _, detail = reason.partition(": ")
                 value = FailedCell(cell, kind, detail,
                                    attempts=max(1, attempts + crashes))
             elif not found:
@@ -290,36 +311,39 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
 
 def _kill_wedged(store: ShardStore, procs: list, seen: dict,
                  timeout_s: float, retries: int,
-                 backoff_s: float) -> dict:
+                 backoff_s: float) -> tuple:
     """Kill every live worker still running a cell it started more
     than ``timeout_s`` ago, and record a timeout attempt for that
     cell.  ``seen`` maps each started execution to when a poll first
-    saw it; returns the map for the next poll.  The heartbeat keeps a
-    wedged cell leased, so the kill is what frees its worker — and
-    what stops a late result from landing after the cell has been
-    given up on."""
+    saw it; returns ``(seen, killed)``: the map for the next poll and
+    the workers killed.  The heartbeat keeps a wedged cell leased, so
+    the kill is what frees its worker — and what stops a late result
+    from landing after the cell has been given up on."""
     now = time.monotonic()
     seen = {run: seen.get(run, now) for run in store.running()}
     live = {_owner(proc.pid): proc for proc in procs}
+    killed = []
     for (owner, key, _attempts, _crashes), since in seen.items():
         proc = live.get(owner)
         if proc is None or now - since < timeout_s:
             continue
         proc.kill()
         proc.join(timeout=5.0)
+        killed.append(proc)
         store.fail_attempt(key, "", retries=retries,
                            backoff_s=backoff_s, kind="timeout")
-    return seen
+    return seen, killed
 
 
 def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                timeout_s, retries, backoff_s, max_crashes,
                respawn_budget, poll_s, claim_k, chaos,
                store_dir) -> None:
-    """Run the pool until every cell is terminal: spawn workers,
-    reap/respawn the dead, kill workers wedged past ``timeout_s``,
-    poison crash-looping cells, and degrade to serial when the pool
-    is gone."""
+    """Run the pool until every cell is terminal: spawn workers (none
+    for one worker without ``timeout_s``: the supervisor drains
+    in-process), reap/respawn the dead, kill workers wedged past
+    ``timeout_s``, poison crash-looping cells, and degrade to serial
+    when the pool is gone (or, under ``timeout_s``, fail the rest)."""
     if store.all_terminal():
         return  # everything served: no pool to spawn
     if respawn_budget is None:
@@ -328,53 +352,82 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
         lease_s=lease_s, retries=retries, backoff_s=backoff_s,
         fingerprint=store.fingerprint, max_crashes=max_crashes,
         parent_pid=os.getpid(), claim_k=claim_k)
+    drainer = f"supervisor-{os.getpid()}"
 
-    def spawn():
-        proc = multiprocessing.Process(
-            target=_worker_main, args=(store_dir, fn),
-            kwargs=worker_kwargs, daemon=True)
-        proc.start()
-        return proc
+    def spawn(count: int) -> list:
+        """Start up to ``count`` workers (fewer if fork fails).  The
+        store is closed across the forks: a child holding a copy of an
+        open sqlite connection shares its lock bookkeeping without
+        owning its locks, so once the supervisor dies a new opener
+        could reset the WAL index under the still-running child."""
+        started: list = []
+        store.close()
+        try:
+            for _ in range(count):
+                proc = multiprocessing.Process(
+                    target=_worker_main, args=(store_dir, fn),
+                    kwargs=worker_kwargs, daemon=True)
+                proc.start()
+                started.append(proc)
+        except OSError:
+            pass  # can't fork (any more): run with what started
+        finally:
+            store.reopen()
+        return started
 
     procs: list = []
-    if workers > 1:
-        try:
-            procs = [spawn() for _ in range(workers)]
-        except OSError:
-            procs = []  # can't fork at all: serial from the start
-
     seen: dict = {}
+    interrupted = True
     try:
+        if workers > 1 or timeout_s is not None:
+            procs = spawn(workers)
         while not store.all_terminal():
             if chaos is not None:
                 chaos([p for p in procs if p.is_alive()])
+            killed: list = []
             if timeout_s is not None:
-                seen = _kill_wedged(store, procs, seen, timeout_s,
-                                    retries, backoff_s)
+                seen, killed = _kill_wedged(store, procs, seen,
+                                            timeout_s, retries,
+                                            backoff_s)
             store.reap()
             dead = [p for p in procs if not p.is_alive()]
             for proc in dead:
                 proc.join()
                 procs.remove(proc)
-            while dead and len(procs) < workers and respawn_budget > 0:
-                respawn_budget -= 1
-                try:
-                    procs.append(spawn())
-                except OSError:
-                    respawn_budget = 0
-                    break
+            # a timeout kill is not a crash: replacing it is free
+            free = len(killed)
+            want = (min(workers - len(procs), respawn_budget + free)
+                    if dead else 0)
+            if want:
+                spawned = spawn(want)
+                procs += spawned
+                respawn_budget = (respawn_budget - max(0, want - free)
+                                  if len(spawned) == want else 0)
             if not procs:
-                # pool gone and unrespawnable: finish the sweep
-                # serially in-process rather than abandoning it
-                _drain(store, fn, f"supervisor-{os.getpid()}",
+                if timeout_s is not None:
+                    # the supervisor cannot kill itself over a wedged
+                    # cell, so it never drains under a timeout
+                    store.fail_unfinished(
+                        "pool: no worker left to run it under a "
+                        "timeout")
+                    break
+                # one worker, or the pool is gone and unrespawnable:
+                # finish the sweep in-process
+                _drain(store, fn, drainer,
                        lease_s=max(lease_s, 60.0), retries=retries,
                        backoff_s=backoff_s, poll_s=poll_s,
                        claim_k=claim_k)
                 store.reap()
                 continue
             time.sleep(poll_s)
+        interrupted = False
     finally:
         for proc in procs:
             proc.terminate()
         for proc in procs:
             proc.join(timeout=5.0)
+        if interrupted:
+            # interrupted, not crashed: give back every lease this
+            # process and the workers it just stopped held, without a
+            # crash count, so a rerun can claim those cells at once
+            store.release([drainer, *(_owner(p.pid) for p in procs)])

@@ -16,11 +16,10 @@ things at once:
   everything, so a row can never be served to different code; rows
   of an older fingerprint are purged on the next enqueue.
 * **The resume record.**  A cell's row is written the moment the cell
-  finishes (by :func:`store_map`'s completion callback, or by the
-  shard worker that ran it), so an interrupted campaign resumes by
-  running it again.  Only successes are ``done``: a failed cell is
-  retried by the next run.
-* **The shard work queue.**  The distributed executor
+  finishes, by the process that ran it, so an interrupted campaign
+  resumes by running it again.  Only successes are ``done``: a failed
+  cell is retried by the next run.
+* **The work queue.**  The campaign executor
   (:mod:`~repro.experiments.shard`) leases ``pending`` rows to worker
   *processes*, which coordinate through the database rather than
   pipes to a parent.  A worker that dies (SIGKILL mid-cell included)
@@ -185,20 +184,14 @@ def backoff_jitter(key: str, attempt: int) -> float:
     return 1.0 + int.from_bytes(digest[:4], "big") / 2**32
 
 
-class StoreCorruption(RuntimeError):
-    """Raised internally when sqlite reports an unreadable database;
-    :meth:`ShardStore._connect` converts it into move-aside + rebuild
-    so callers never see it."""
-
-
 class ShardStore:
     """The result store at ``<store_dir>/cells.sqlite3``.
 
-    Every process of a sweep (a worker, the supervisor, the ``--jobs``
-    parent) opens its own :class:`ShardStore` on the same directory;
-    sqlite serializes the claim/complete transactions.  All methods
-    are safe to call from any process at any time — that is the
-    point.  ``fingerprint`` defaults to :func:`code_fingerprint`.
+    Every process of a sweep (a worker, the supervisor) opens its own
+    :class:`ShardStore` on the same directory; sqlite serializes the
+    claim/complete transactions.  All methods are safe to call from
+    any process at any time — that is the point.  ``fingerprint``
+    defaults to :func:`code_fingerprint`.
     """
 
     def __init__(self, store_dir, *, fingerprint: Optional[str] = None,
@@ -298,6 +291,11 @@ class ShardStore:
             self._conn.close()
             self._conn = None
 
+    def reopen(self) -> None:
+        """Reconnect after :meth:`close` (no-op while open)."""
+        if self._conn is None:
+            self._connect()
+
     def __enter__(self) -> "ShardStore":
         return self
 
@@ -308,17 +306,16 @@ class ShardStore:
 
     def add_cells(self, keyed_cells: Iterable[tuple], *,
                   reset: bool = False) -> int:
-        """Enqueue ``(key, cell)`` pairs as ``pending`` rows.  A
-        ``done`` row is left alone (that is the resume: a finished
-        cell stays finished) unless ``reset`` asks for a recompute; a
-        ``failed`` row goes back to ``pending`` with a fresh retry
-        budget; a ``leased`` row keeps its lease, which expires if its
-        worker is gone.  Rows written under another code fingerprint
-        can never be served again and are purged first.  Returns the
-        number of rows inserted."""
-        rows = [(key, canonical_json(cell), reset)
-                for key, cell in keyed_cells]
-        if not rows:
+        """Enqueue ``(key, cell)`` pairs as ``pending`` rows, leased in
+        the order given.  A ``done`` row is left alone (that is the
+        resume: a finished cell stays finished) unless ``reset`` asks
+        for a recompute; a ``failed`` row is re-enqueued with a fresh
+        retry budget; a ``pending`` or ``leased`` row keeps its place
+        and lease, which expires if its worker is gone.  Rows written
+        under another code fingerprint can never be served again and
+        are purged first.  Returns the number of rows inserted."""
+        keyed_cells = list(keyed_cells)
+        if not keyed_cells:
             return 0
         before = self._conn.execute(
             "SELECT count(*) FROM cells").fetchone()[0]
@@ -329,14 +326,16 @@ class ShardStore:
             if stored is not None and stored[0] != self.fingerprint:
                 self._conn.execute("DELETE FROM cells")
                 before = 0
+            # a re-enqueued row is deleted and inserted afresh, so it
+            # takes its place in the given order (claims lease by rowid)
             self._conn.executemany(
-                "INSERT INTO cells (key, cell) VALUES (?1, ?2) "
-                "ON CONFLICT (key) DO UPDATE SET state = 'pending', "
-                "owner = NULL, not_before = 0, attempts = 0, "
-                "crashes = 0, started = 0, result = NULL, "
-                "result_sha = NULL, reason = NULL "
-                "WHERE state = 'failed' OR (?3 AND state = 'done')",
-                rows)
+                "DELETE FROM cells WHERE key = ?1 AND "
+                "(state = 'failed' OR (?2 AND state = 'done'))",
+                [(key, reset) for key, _ in keyed_cells])
+            self._conn.executemany(
+                "INSERT OR IGNORE INTO cells (key, cell) VALUES (?, ?)",
+                [(key, canonical_json(cell))
+                 for key, cell in keyed_cells])
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (k, v) VALUES "
                 "('format', ?), ('fingerprint', ?)",
@@ -349,19 +348,25 @@ class ShardStore:
             "SELECT count(*) FROM cells").fetchone()[0]
         return after - before
 
-    def open_sweep(self, cells: list, *, serve: bool = True) -> tuple:
+    def open_sweep(self, cells: list, *, serve: bool = True,
+                   cost: Optional[Callable[[Any], float]] = None
+                   ) -> tuple:
         """Start a sweep over ``cells``: ``(keys, served)``, where
         ``keys`` holds each cell's :func:`cache_key` and ``served``
         maps the keys already ``done`` to their verified results
         (empty when not ``serve``).  Every other cell is enqueued as
-        ``pending`` (with ``serve`` off, over its ``done`` row), and
-        another sweep's unfinished rows are pruned."""
+        ``pending`` (with ``serve`` off, over its ``done`` row) —
+        costliest first by ``cost(cell)`` when given, ties in cell
+        order — and another sweep's unfinished rows are pruned."""
         keys = [cache_key(cell, self.fingerprint) for cell in cells]
         served = self.results(keys) if serve else {}
         todo = {key: cell for key, cell in zip(keys, cells)
                 if key not in served}
         self.prune_except(todo)
-        self.add_cells(todo.items(), reset=not serve)
+        queue = todo.items()
+        if cost is not None:
+            queue = sorted(queue, key=lambda item: -cost(item[1]))
+        self.add_cells(queue, reset=not serve)
         return keys, served
 
     # ------------------------------------------------------------ leasing
@@ -480,6 +485,19 @@ class ShardStore:
             (self._now() + lease_s, owner, *keys))
         return cur.rowcount
 
+    def release(self, owners: Iterable[str]) -> int:
+        """Hand every lease the listed ``owners`` hold back as
+        ``pending`` without counting a crash: an interrupted sweep's
+        cells are claimable at once by the next one.  Returns the
+        number of cells released."""
+        owners = tuple(owners)
+        marks = ",".join("?" * len(owners))
+        cur = self._conn.execute(
+            f"UPDATE cells SET state = 'pending', owner = NULL, "
+            f"started = 0 WHERE state = 'leased' "
+            f"AND owner IN ({marks})", owners)
+        return cur.rowcount
+
     def reap(self) -> int:
         """Supervisor sweep: quarantine every *started* cell whose
         lease has expired ``max_crashes`` times; merely-expired leases
@@ -593,6 +611,16 @@ class ShardStore:
             self._conn.execute("ROLLBACK")
             raise
 
+    def fail_unfinished(self, reason: str) -> int:
+        """Mark every cell not yet ``done`` or ``failed`` as terminally
+        ``failed`` with ``reason``: the sweep can no longer run them.
+        Returns the number of cells failed."""
+        cur = self._conn.execute(
+            "UPDATE cells SET state = 'failed', owner = NULL, "
+            "started = 0, reason = ? "
+            "WHERE state NOT IN ('done', 'failed')", (reason,))
+        return cur.rowcount
+
     # ------------------------------------------------------------ queries
 
     def prune_except(self, keys: Iterable[str]) -> int:
@@ -688,34 +716,3 @@ class ShardStore:
         return {key: (reason or "error", attempts, crashes)
                 for key, reason, attempts, crashes in cur.fetchall()}
 
-
-def store_map(fn: Callable[[Any], Any], cells: Iterable[Any],
-              store_dir, *, serve: bool = True,
-              stats: Optional[dict] = None, **options) -> list:
-    """:func:`~repro.experiments.parallel.cell_map` through the store
-    at ``store_dir``.  A cell with a ``done`` row is served from it
-    (with ``serve``); the rest run through ``cell_map(**options)``,
-    whose parent-side completion callback writes each cell's row the
-    moment it finishes, so an interrupted sweep resumes by running
-    again.  A reseeded retry is a different cell with its own key: it
-    has no row, so its result is not recorded.  ``stats["served"]``,
-    when given, receives the number of cells served."""
-    from .parallel import cell_map
-
-    cells = list(cells)
-    with ShardStore(store_dir) as store:
-        keys, served = store.open_sweep(cells, serve=serve)
-        todo = [index for index, key in enumerate(keys)
-                if key not in served]
-
-        def record(cell, result):
-            store.complete(cache_key(cell, store.fingerprint), result)
-
-        computed = cell_map(fn, [cells[index] for index in todo],
-                            on_result=record, **options)
-    if stats is not None:
-        stats["served"] = len(cells) - len(todo)
-    results = [served.get(key) for key in keys]
-    for index, result in zip(todo, computed):
-        results[index] = result
-    return results

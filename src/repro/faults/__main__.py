@@ -124,7 +124,7 @@ def shard_chaos_cell(cell: dict) -> dict:
 def render_shard_report(cells, results) -> str:
     """Deterministic per-cell report (no timing, no worker identity)
     — the byte-identity comparand."""
-    from ..experiments.parallel import FailedCell
+    from ..experiments.shard import FailedCell
     lines = ["# shard-chaos sensitivity sweep"]
     for cell, result in zip(cells, results):
         name = (f"{cell['sched']}/t{cell['threads']}"
@@ -148,8 +148,8 @@ def _shard_chaos_child(store_dir, workers, lease_s) -> None:
 
 
 def _cmd_shard_chaos(args) -> int:
-    from ..experiments.parallel import FailedCell, cell_map
-    from ..experiments.shard import shard_map
+    from ..experiments.parallel import cell_map
+    from ..experiments.shard import FailedCell, shard_map
     from ..experiments.store import ShardStore
     from .procchaos import WorkerKiller
 
@@ -167,12 +167,15 @@ def _cmd_shard_chaos(args) -> int:
         store_dir = os.path.join(tmp, "store")
 
         # phase 1: SIGKILL the supervisor itself mid-sweep (the store
-        # is created first, so the child never races its creation)
+        # is created first, so the child never races its creation, and
+        # closed across the fork, so the child takes its own sqlite
+        # locks rather than inheriting a connection)
+        ShardStore(store_dir).close()
+        child = multiprocessing.Process(
+            target=_shard_chaos_child,
+            args=(store_dir, args.workers, args.lease))
+        child.start()
         with ShardStore(store_dir) as store:
-            child = multiprocessing.Process(
-                target=_shard_chaos_child,
-                args=(store_dir, args.workers, args.lease))
-            child.start()
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
                 finished = store.counts().get("done", 0)

@@ -95,16 +95,22 @@ def compute_all(jobs: int | None = None,
     ``make golden-check`` against unchanged sources is served the
     stored digests instead of re-simulating — safe because a row's
     key includes the code fingerprint, so any source change forces a
-    real recompute.  Unset (the in-test default), every cell is
+    real recompute.  A cell that fails there raises instead of being
+    compared as a digest.  Unset (the in-test default), every cell is
     computed fresh.
     """
     names = cell_names() if names is None else names
-    from ..experiments.store import cache_dir_from_env, store_map
+    from ..experiments.shard import FailedCell, shard_map
+    from ..experiments.store import cache_dir_from_env
     store_dir = cache_dir_from_env()
     if store_dir is None:
         digests = parallel.cell_map(compute_cell, names, jobs=jobs)
     else:
-        digests = store_map(compute_cell, names, store_dir, jobs=jobs)
+        digests = shard_map(compute_cell, names, jobs,
+                            store_dir=store_dir)
+    for name, digest in zip(names, digests):
+        if isinstance(digest, FailedCell):
+            raise RuntimeError(f"golden cell {name}: {digest.render()}")
     return dict(zip(names, digests))
 
 

@@ -1,14 +1,15 @@
 """The cell cache, which is the result store's ``done`` rows: keying,
 hit/miss, fingerprint invalidation and purge, torn-row tolerance,
-env-var construction, and the interplay with ``store_map``."""
+env-var construction, and the interplay with ``shard_map``."""
 
 import warnings
 
 import pytest
 
+from repro.experiments.shard import shard_map
 from repro.experiments.store import (DEFAULT_DIR, ShardStore,
                                      cache_dir_from_env, cache_key,
-                                     code_fingerprint, store_map)
+                                     code_fingerprint)
 
 CELL = {"experiment": "table1", "quick": True, "seed": 1}
 MISS = object()
@@ -142,7 +143,7 @@ def test_cache_from_env_explicit_dir(monkeypatch, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# store_map integration
+# shard_map integration
 # ----------------------------------------------------------------------
 
 def test_cell_map_uses_cache(tmp_path):
@@ -154,15 +155,15 @@ def test_cell_map_uses_cache(tmp_path):
 
     cells = [1, 2, 3]
     stats = {}
-    assert store_map(compute, cells, tmp_path / "store",
+    assert shard_map(compute, cells, store_dir=tmp_path / "store",
                      stats=stats) == [10, 20, 30]
     assert calls == cells and stats == {"served": 0}
     # warm rerun: nothing executes, results come from the store
-    assert store_map(compute, cells, tmp_path / "store",
+    assert shard_map(compute, cells, store_dir=tmp_path / "store",
                      stats=stats) == [10, 20, 30]
     assert calls == cells and stats == {"served": 3}
     # without serving, every cell runs again and its row is rewritten
-    assert store_map(compute, cells, tmp_path / "store",
+    assert shard_map(compute, cells, store_dir=tmp_path / "store",
                      serve=False) == [10, 20, 30]
     assert calls == cells * 2
 
@@ -203,12 +204,12 @@ def test_corrupt_entry_recomputes_through_cell_map(tmp_path):
         return cell * 10
 
     target = tmp_path / "store"
-    assert store_map(compute, [7], target) == [70]
+    assert shard_map(compute, [7], store_dir=target) == [70]
     # corrupt the row in place (bit flip in the stored result)
     with ShardStore(target) as store:
         row_result(store, 7, "71")
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        assert store_map(compute, [7], target) == [70]
+        assert shard_map(compute, [7], store_dir=target) == [70]
     assert calls == [7, 7]  # recomputed, the corrupt 71 never served
     # and the recompute healed the row
     with ShardStore(target) as store:

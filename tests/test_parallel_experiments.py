@@ -74,32 +74,50 @@ def test_registry_ignores_jobs_for_serial_only_drivers():
     assert result.rows
 
 
-def test_campaign_pool_submits_longest_first_and_matches_serial(
-        monkeypatch):
-    """A ``--jobs 2`` campaign submits its cells in descending
-    cost-hint order yet renders the serial run's report byte for
-    byte."""
-    import multiprocessing.pool
+#: where ``_recording_claim`` logs each claim; set before a run, and
+#: inherited by forked workers
+CLAIM_LOG = None
 
+
+def _recording_claim(self, owner, lease_s, k=None):
+    """``ShardStore.claim_batch``, logging each non-empty claim as one
+    line of its experiments.  The claim runs under an exclusive lock
+    on the log, so the lines land in the order the claims commit."""
+    import fcntl
+
+    from repro.experiments.store import ShardStore
+
+    with open(CLAIM_LOG, "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        batch = ShardStore._claim_batch(self, owner, lease_s, k)
+        if batch:
+            fh.write(",".join(cell["experiment"]
+                              for _, cell in batch) + "\n")
+    return batch
+
+
+def test_campaign_pool_submits_longest_first_and_matches_serial(
+        tmp_path, monkeypatch):
+    """A ``jobs=2`` campaign leases its cells one per claim in
+    descending cost-hint order yet renders the serial run's report
+    byte for byte."""
+    global CLAIM_LOG
     from repro.experiments.campaign import render_report, run_campaign
     from repro.experiments.registry import QUICK_EVENTS
+    from repro.experiments.store import ShardStore
 
     names = ["table1", "fig2", "predict", "fig4"]
-    serial = render_report(*run_campaign(names, quick=True, seed=1))
+    serial = render_report(*run_campaign(
+        names, quick=True, seed=1, store_dir=tmp_path / "serial"))
 
-    submitted = []
-    apply_async = multiprocessing.pool.Pool.apply_async
-
-    def recording(self, func, args=(), kwds={}, callback=None,
-                  error_callback=None):
-        submitted.append(args[0][1]["experiment"])
-        return apply_async(self, func, args, kwds, callback,
-                           error_callback)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
-                        recording)
-    fanned = render_report(*run_campaign(names, quick=True, seed=1,
-                                         jobs=2))
-    assert submitted == ["fig4", "fig2", "predict", "table1"]
-    assert submitted == sorted(names, key=lambda n: -QUICK_EVENTS[n])
+    CLAIM_LOG = str(tmp_path / "claims.log")
+    monkeypatch.setattr(ShardStore, "_claim_batch",
+                        ShardStore.claim_batch, raising=False)
+    monkeypatch.setattr(ShardStore, "claim_batch", _recording_claim)
+    fanned = render_report(*run_campaign(
+        names, quick=True, seed=1, jobs=2, store_dir=tmp_path / "jobs"))
+    with open(CLAIM_LOG) as fh:
+        claimed = fh.read().split()
+    assert claimed == ["fig4", "fig2", "predict", "table1"]
+    assert claimed == sorted(names, key=lambda n: -QUICK_EVENTS[n])
     assert fanned == serial

@@ -1,17 +1,19 @@
-"""Failure paths of the hardened parallel runner: raising cells,
-timeouts, retries with reseeding, FAILED markers, and the resume
-contract through the result store (resumed rows byte-identical to an
+"""Failure paths of the campaign executor: raising cells, timeouts,
+retries with reseeding, FAILED markers, and the resume contract
+through the result store (resumed rows byte-identical to an
 uninterrupted run)."""
 
 import os
+import signal
 import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments.parallel import CellError, FailedCell, cell_map
-from repro.experiments.store import ShardStore, cache_key, store_map
+from repro.experiments import campaign
+from repro.experiments.parallel import cell_map
+from repro.experiments.shard import FailedCell, shard_map
+from repro.experiments.store import ShardStore, cache_key
 
 
 def _double(cell):
@@ -43,19 +45,9 @@ def test_raising_cell_propagates_unwrapped_on_plain_path():
         cell_map(_boom_on_negative, [1, -2, 3])
 
 
-def test_raising_cell_raises_cell_error_when_not_marking():
-    with pytest.raises(CellError) as exc_info:
-        cell_map(_boom_on_negative, [1, -2, 3], retries=1, backoff_s=0)
-    failure = exc_info.value.failure
-    assert failure.cell == -2
-    assert failure.reason == "error"
-    assert "ValueError" in failure.error
-    assert failure.attempts == 2
-
-
-def test_mark_failures_yields_failed_cell_in_place():
-    results = cell_map(_boom_on_negative, [1, -2, 3],
-                       mark_failures=True)
+def test_mark_failures_yields_failed_cell_in_place(tmp_path):
+    results = shard_map(_boom_on_negative, [1, -2, 3],
+                        store_dir=tmp_path / "store")
     assert results[0] == 2 and results[2] == 6
     failure = results[1]
     assert isinstance(failure, FailedCell)
@@ -63,23 +55,55 @@ def test_mark_failures_yields_failed_cell_in_place():
     assert failure.render().startswith("FAILED(error")
 
 
-def test_retry_with_reseed_recovers():
-    calls = []
-
-    def reseed(cell, attempt):
-        calls.append((cell, attempt))
-        return -cell  # flip the failing cell positive
-
-    results = cell_map(_boom_on_negative, [1, -2, 3], retries=1,
-                       backoff_s=0, reseed=reseed, mark_failures=True)
-    # Keyed by the ORIGINAL cell, computed from the reseeded one.
-    assert results == [2, 4, 6]
-    assert calls == [(-2, 1)]
+def _fails_on_first_seed(cell):
+    """A campaign cell that fails for ``beta`` at its original seed
+    only: the seed-specific pathology reseeding dodges."""
+    if cell["experiment"] == "beta" and cell["seed"] == 1:
+        raise ValueError("seed-specific failure")
+    return {"experiment": cell["experiment"], "claim": "ok",
+            "text": f"seed {cell['seed']}\n"}
 
 
-def test_timeout_cell_is_marked_and_pool_recovers():
-    results = cell_map(_sleep_forever, ["a", "stuck", "b"], jobs=2,
-                       timeout_s=1.0, mark_failures=True)
+def test_retry_with_reseed_recovers(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "run_campaign_cell",
+                        _fails_on_first_seed)
+    cells, results = campaign.run_campaign(
+        ["alpha", "beta"], retries=1, backoff_s=0, reseed=True,
+        store_dir=tmp_path / "store")
+    # placed at the ORIGINAL cell's position, computed from the
+    # reseeded one
+    assert [cell["seed"] for cell in cells] == [1, 1]
+    assert [r["text"] for r in results] == ["seed 1\n", "seed 100001\n"]
+
+
+def _fails_below_round_two_seed(cell):
+    """Fails ``beta`` at its original seed and at its first reseed."""
+    if cell["experiment"] == "beta" and cell["seed"] < 300_001:
+        raise ValueError("seed-specific failure")
+    return {"experiment": cell["experiment"], "claim": "ok",
+            "text": f"seed {cell['seed']}\n"}
+
+
+def test_reseed_rounds_compound(tmp_path, monkeypatch):
+    # round k reseeds the cell round k - 1 ran: seed 1, then 100001,
+    # then 100001 + 200000
+    monkeypatch.setattr(campaign, "run_campaign_cell",
+                        _fails_below_round_two_seed)
+    _, results = campaign.run_campaign(
+        ["alpha", "beta"], retries=2, backoff_s=0, reseed=True,
+        store_dir=tmp_path / "store")
+    assert results[1]["text"] == "seed 300001\n"
+
+
+def test_timeout_cell_is_marked_and_pool_recovers(tmp_path):
+    # one worker: the timeout alone makes the supervisor run the cells
+    # in a worker process, the only kind it can kill; the respawned
+    # worker finishes the sweep
+    start = time.monotonic()
+    results = shard_map(_sleep_forever, ["a", "stuck", "b"],
+                        store_dir=tmp_path / "store", timeout_s=1.0,
+                        lease_s=0.5)
+    assert time.monotonic() - start < 15
     assert results[0] == "a" and results[2] == "b"
     assert isinstance(results[1], FailedCell)
     assert results[1].reason == "timeout"
@@ -110,24 +134,24 @@ def _corrupt(target, cell, text):
 
 def test_checkpoint_records_only_successes(tmp_path):
     target = tmp_path / "store"
-    results = store_map(_boom_on_negative, [1, -2, 3], target,
-                        mark_failures=True)
+    results = shard_map(_boom_on_negative, [1, -2, 3], store_dir=target)
     assert isinstance(results[1], FailedCell)
     with ShardStore(target) as store:
         # failures are never done rows: the next run retries them
         assert store.results() == {cache_key(1): 2, cache_key(3): 6}
     executed = []
-    again = store_map(_counting(executed, _boom_on_negative),
-                      [1, -2, 3], target, mark_failures=True)
+    again = shard_map(_counting(executed, _boom_on_negative),
+                      [1, -2, 3], store_dir=target)
     assert executed == [-2] and again[2] == 6
 
 
 def test_resume_short_circuits_finished_cells(tmp_path):
     target = tmp_path / "store"
-    store_map(_double, [1, 2, 3], target)
+    shard_map(_double, [1, 2, 3], store_dir=target)
     # A "restarted" run: _always_boom would explode if any cell were
     # re-executed, so every row must come from the store.
-    assert store_map(_always_boom, [1, 2, 3], target) == [2, 4, 6]
+    assert shard_map(_always_boom, [1, 2, 3],
+                     store_dir=target) == [2, 4, 6]
 
 
 def test_resume_after_partial_run_matches_uninterrupted(tmp_path):
@@ -137,9 +161,10 @@ def test_resume_after_partial_run_matches_uninterrupted(tmp_path):
     # Simulate a campaign killed after two cells: only their rows
     # made it into the store.
     target = tmp_path / "store"
-    store_map(_double, cells[:2], target)
+    shard_map(_double, cells[:2], store_dir=target)
     executed = []
-    resumed = store_map(_counting(executed, _double), cells, target)
+    resumed = shard_map(_counting(executed, _double), cells,
+                        store_dir=target)
     assert resumed == uninterrupted  # rows identical, in order
     assert executed == [3, 4]  # only the unfinished cells re-ran
 
@@ -152,18 +177,18 @@ def test_no_resume_clears_a_stale_manifest(tmp_path):
     with ShardStore(target) as store:
         keys, _ = store.open_sweep([1])
         store.complete(keys[0], 999)
-    assert store_map(_double, [1], target) == [999]
-    assert store_map(_double, [1], target, serve=False) == [2]
-    assert store_map(_always_boom, [1], target) == [2]
+    assert shard_map(_double, [1], store_dir=target) == [999]
+    assert shard_map(_double, [1], store_dir=target, serve=False) == [2]
+    assert shard_map(_always_boom, [1], store_dir=target) == [2]
 
 
 def test_mismatched_meta_discards_the_manifest(tmp_path):
     # a differently parameterised cell keys differently: nothing of
     # the first campaign is served to the second
     target = tmp_path / "store"
-    store_map(_value, [{"x": 3, "seed": 1}], target)
-    results = store_map(_always_boom, [{"x": 3, "seed": 2}], target,
-                        mark_failures=True)
+    shard_map(_value, [{"x": 3, "seed": 1}], store_dir=target)
+    results = shard_map(_always_boom, [{"x": 3, "seed": 2}],
+                        store_dir=target)
     assert isinstance(results[0], FailedCell)
 
 
@@ -172,19 +197,24 @@ def test_corrupt_manifest_is_treated_as_empty(tmp_path):
     target.mkdir()
     (target / "cells.sqlite3").write_text("{ not json !")
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        assert store_map(_double, [1, 2], target) == [2, 4]
+        assert shard_map(_double, [1, 2], store_dir=target) == [2, 4]
     assert (target / "cells.sqlite3.corrupt").exists()
 
 
-def test_reseeded_retry_is_not_stored_under_the_original_cell(tmp_path):
+def test_reseeded_retry_is_not_stored_under_the_original_cell(tmp_path,
+                                                               monkeypatch):
     # a reseeded retry is a different cell with its own key: its
     # result fills the report, but no row claims the original cell
+    monkeypatch.setattr(campaign, "run_campaign_cell",
+                        _fails_on_first_seed)
     target = tmp_path / "store"
-    results = store_map(_boom_on_negative, [1, -2], target, retries=1,
-                        backoff_s=0, reseed=lambda cell, attempt: -cell)
-    assert results == [2, 4]
+    cells, results = campaign.run_campaign(
+        ["alpha", "beta"], retries=1, backoff_s=0, reseed=True,
+        store_dir=target)
+    assert results[1]["text"] == "seed 100001\n"
+    alpha, beta = (cache_key(cell) for cell in cells)
     with ShardStore(target) as store:
-        assert store.results() == {cache_key(1): 2}
+        assert store.results([alpha, beta]) == {alpha: results[0]}
 
 
 def test_cell_key_is_canonical_json():
@@ -215,8 +245,10 @@ def test_checkpoint_lands_in_completion_order(tmp_path):
     path = str(tmp_path / "store")
     fast = ("fast", path, None)
     slow = ("slow", path, fast)
-    assert store_map(_await_stored_row, [slow, fast], path,
-                     jobs=2) == [True, True]
+    # the cost hint leases one cell per claim, slow first: the two
+    # cells run on two workers
+    assert shard_map(_await_stored_row, [slow, fast], 2, store_dir=path,
+                     cost=lambda cell: cell[0] == "slow") == [True, True]
 
 
 # ------------------------------------------------------- campaign wiring
@@ -236,12 +268,13 @@ def test_campaign_resume_report_is_byte_identical(tmp_path,
     store_dir = tmp_path / "store"
 
     # The uninterrupted reference.
-    cells, results = run_campaign(names, quick=True, seed=1)
+    cells, results = run_campaign(names, quick=True, seed=1,
+                                  store_dir=tmp_path / "reference")
     reference = render_report(cells, results)
 
     # "Kill" a campaign after its first cell: the store holds table1.
     first = build_cells(names, True, 1)[0]
-    store_map(run_campaign_cell, [first], store_dir)
+    shard_map(run_campaign_cell, [first], store_dir=store_dir)
 
     # Rerun: table1 must come from the store, not re-run.
     executed = []
@@ -264,22 +297,22 @@ def test_campaign_resume_report_is_byte_identical(tmp_path,
 
 def test_corrupt_middle_line_is_skipped_not_fatal(tmp_path):
     target = tmp_path / "store"
-    store_map(_double, [1, 2, 3], target)
+    shard_map(_double, [1, 2, 3], store_dir=target)
     _corrupt(target, 2, "[4")  # torn row for cell 2
     executed = []
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        results = store_map(_counting(executed, _double), [1, 2, 3],
-                            target)
+        results = shard_map(_counting(executed, _double), [1, 2, 3],
+                            store_dir=target)
     assert results == [2, 4, 6]
     assert executed == [2]  # lost -> re-run; its neighbours survive
 
 
 def test_bitflipped_entry_fails_its_digest_and_is_dropped(tmp_path):
     target = tmp_path / "store"
-    store_map(_double, [500], target)
+    shard_map(_double, [500], store_dir=target)
     _corrupt(target, 500, "1001")  # still valid JSON
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        assert store_map(_double, [500], target) == [1000]
+        assert shard_map(_double, [500], store_dir=target) == [1000]
 
 
 def test_journal_survives_kill_mid_append(tmp_path):
@@ -316,75 +349,28 @@ def test_journal_survives_kill_mid_append(tmp_path):
         assert recovered[cache_key(i)] == {"payload": "x" * 512, "i": i}
 
 
-# -------------------------------------------- broken pool (infrastructure)
+# --------------------------------------------------- worker crashes
 
 
-def _broken_pool_once(cell):
-    """Raise BrokenProcessPool on the first run of each cell (the
-    flag file marks "already failed once"), succeed after — the shape
-    of a worker lost to the OOM killer."""
+def _worker_dies_once(cell):
+    """SIGKILL the worker on the first run of each cell (the flag file
+    marks "already died once"), succeed after — the shape of a worker
+    lost to the OOM killer."""
     flag, value = cell
     if not os.path.exists(flag):
         open(flag, "w").close()
-        raise BrokenProcessPool("worker died")
+        os.kill(os.getpid(), signal.SIGKILL)
     return value * 2
 
 
-def _broken_pool_always(cell):
-    raise BrokenProcessPool("pool keeps collapsing")
-
-
-def test_broken_pool_respawns_and_reruns_in_flight_cells(tmp_path):
-    cells = [(str(tmp_path / f"flag{i}"), i) for i in range(4)]
-    # no retries: the rerun comes from the pool-respawn path, not the
-    # per-cell retry budget
-    results = cell_map(_broken_pool_once, cells, jobs=2,
-                       timeout_s=60, mark_failures=True)
-    assert results == [0, 2, 4, 6]
-
-
-def test_persistently_broken_pool_degrades_to_serial(tmp_path):
-    # Serial in-process execution surfaces the exception as an
-    # ordinary cell error: the campaign records FAILED rows instead
-    # of aborting (and instead of respawning pools forever).
-    results = cell_map(_broken_pool_always, [1, 2], jobs=2,
-                       timeout_s=60, mark_failures=True)
-    assert all(isinstance(r, FailedCell) for r in results)
-    assert all(r.reason == "error" for r in results)
-    assert "BrokenProcessPool" in results[0].error
-
-
 def test_broken_pool_cells_checkpoint_after_respawn(tmp_path):
+    # no retries: the rerun comes from lease expiry and the respawned
+    # worker, not the per-cell retry budget
     target = tmp_path / "store"
     cells = [(str(tmp_path / f"f{i}"), i) for i in range(3)]
-    results = store_map(_broken_pool_once, cells, target, jobs=2,
-                        timeout_s=60, mark_failures=True)
+    results = shard_map(_worker_dies_once, cells, 2, store_dir=target,
+                        lease_s=0.3)
     assert results == [0, 2, 4]
     with ShardStore(target) as store:
         assert store.results() == {cache_key(cell): cell[1] * 2
                                    for cell in cells}
-
-
-def _log_run(cell):
-    """Append one line per finished run; the first cell breaks the
-    pool at once while the second is still running."""
-    log, value = cell
-    if value == 0 and not os.path.exists(log + ".broke"):
-        open(log + ".broke", "w").close()
-        raise BrokenProcessPool("worker died")
-    time.sleep(0.3)
-    with open(log, "a") as fh:
-        fh.write(f"{value}\n")
-    return value
-
-
-def test_broken_pool_lets_in_flight_cells_finish_before_teardown(tmp_path):
-    # Killing a worker mid-cell can catch it taking the result
-    # queue's lock, which hangs the pool's teardown; so the cell in
-    # flight runs to its end (and re-runs on the fresh pool).
-    log = str(tmp_path / "runs.log")
-    results = cell_map(_log_run, [(log, 0), (log, 1)], jobs=2,
-                       timeout_s=60, mark_failures=True)
-    assert results == [0, 1]
-    with open(log) as fh:
-        assert sorted(fh.read().split()) == ["0", "1", "1"]

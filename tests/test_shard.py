@@ -15,8 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments.parallel import FailedCell
-from repro.experiments.shard import shard_map
+from repro.experiments.shard import FailedCell, shard_map
 from repro.experiments.store import ShardStore, cache_key
 from repro.faults.procchaos import WorkerKiller
 
@@ -221,12 +220,108 @@ def test_timeout_kills_a_wedged_worker(tmp_path):
     assert results[1:] == [_triple(cell) for cell in cells[1:]]
 
 
+def test_timeouts_beyond_the_respawn_budget_still_fail_fast(tmp_path):
+    """A timeout kill is not a crash: more wedged cells than the
+    respawn budget (4 per worker) each end as FAILED(timeout) on a
+    fresh worker, and the supervisor never drains a wedged cell
+    in-process, which it could not kill."""
+    cells = [{"i": i, "wedge": True} for i in range(6)]
+    cells.append({"i": 6})
+    start = time.monotonic()
+    results = shard_map(_wedge_or_triple, cells,
+                        store_dir=tmp_path / "store", timeout_s=0.3,
+                        lease_s=0.5)
+    assert time.monotonic() - start < 20
+    assert [r.render() for r in results[:6]] == ["FAILED(timeout)"] * 6
+    assert results[6] == _triple(cells[6])
+
+
+def test_lost_pool_under_a_timeout_fails_the_rest(tmp_path):
+    """With a timeout the supervisor must not drain in-process: once
+    the pool is gone and cannot be respawned, the unfinished cells
+    end as FAILED(pool)."""
+    def kill_all(procs):
+        for proc in procs:
+            proc.kill()
+
+    cells = [{"i": i} for i in range(30)]
+    results = shard_map(_slow_logged, [dict(c, log=str(tmp_path))
+                                       for c in cells], 2,
+                        store_dir=tmp_path / "store", timeout_s=5.0,
+                        lease_s=0.3, respawn_budget=0, chaos=kill_all)
+    failed = [r for r in results if isinstance(r, FailedCell)]
+    assert failed and all(r.reason == "pool" for r in failed)
+    assert all(r == _triple(cell) for cell, r in zip(cells, results)
+               if not isinstance(r, FailedCell))
+
+
+def _interrupt_once(cell):
+    """Raise KeyboardInterrupt the first time cell 1 runs (a marker
+    file in the cell's ``log`` directory remembers it)."""
+    marker = os.path.join(cell["log"], "interrupted")
+    if cell["i"] == 1 and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise KeyboardInterrupt
+    time.sleep(cell.get("sleep", 0))
+    return _triple(cell)
+
+
+def _crashes(store_dir) -> int:
+    with ShardStore(store_dir) as store:
+        assert store.running() == []
+        assert "leased" not in store.counts()
+        return store._conn.execute(
+            "SELECT sum(crashes) FROM cells").fetchone()[0]
+
+
+def test_interrupted_in_process_sweep_reruns_at_once(tmp_path):
+    """Ctrl-C during an in-process sweep hands the running cell's
+    lease straight back: a rerun claims it without waiting for the
+    lease to expire and without counting a crash."""
+    cells = [{"i": i, "log": str(tmp_path)} for i in range(3)]
+    store_dir = tmp_path / "store"
+    with pytest.raises(KeyboardInterrupt):
+        shard_map(_interrupt_once, cells, store_dir=store_dir)
+    assert _crashes(store_dir) == 0
+    start = time.monotonic()
+    results = shard_map(_interrupt_once, cells, store_dir=store_dir)
+    assert time.monotonic() - start < 10  # the drain's lease is 60 s
+    assert results == [_triple(cell) for cell in cells]
+    assert _crashes(store_dir) == 0
+
+
+def test_interrupted_supervisor_gives_back_its_workers_leases(tmp_path):
+    """An interrupt in the supervisor of a two-worker sweep stops the
+    workers and gives back the leases they held, without a crash
+    count; the rerun does not wait for them to expire."""
+    armed = time.monotonic() + 0.5
+
+    def interrupt(procs):
+        if time.monotonic() > armed:
+            raise KeyboardInterrupt
+
+    cells = [{"i": i, "log": str(tmp_path), "sleep": 0.2}
+             for i in range(2, 40)]
+    store_dir = tmp_path / "store"
+    with pytest.raises(KeyboardInterrupt):
+        shard_map(_interrupt_once, cells, 2, store_dir=store_dir,
+                  lease_s=30.0, chaos=interrupt)
+    assert _crashes(store_dir) == 0
+    start = time.monotonic()
+    results = shard_map(_interrupt_once, cells, 2,
+                        store_dir=store_dir, lease_s=30.0)
+    assert time.monotonic() - start < 20  # the leases ran for 30 s
+    assert results == [_triple(cell) for cell in cells]
+    assert _crashes(store_dir) == 0
+
+
 def test_failing_cell_retries_then_marks_failed(tmp_path):
     def check(results):
         failure = results[1]
         assert isinstance(failure, FailedCell)
         assert failure.reason == "error"
         assert "RuntimeError" in failure.error
+        assert failure.attempts == 2  # the run and its one retry
 
     cells = [{"i": 0}, {"i": 1, "boom": True}, {"i": 2}]
     results = shard_map(_boom_flagged, cells, 2,
@@ -340,7 +435,7 @@ def test_run_campaign_through_shard_executor(tmp_path, monkeypatch):
     store_dir = tmp_path / "store"
     stats = {}
     cells, results = campaign.run_campaign(
-        ["alpha", "beta"], quick=True, seed=1, shard_workers=2,
+        ["alpha", "beta"], quick=True, seed=1, jobs=2,
         store_dir=store_dir, stats=stats)
     assert [r["experiment"] for r in results] == ["alpha", "beta"]
     assert stats == {"served": 0}
@@ -348,17 +443,33 @@ def test_run_campaign_through_shard_executor(tmp_path, monkeypatch):
     assert "rows for alpha" in report and "rows for beta" in report
     # a successful campaign keeps its rows: a rerun is served them
     _, again = campaign.run_campaign(
-        ["alpha", "beta"], quick=True, seed=1, shard_workers=2,
+        ["alpha", "beta"], quick=True, seed=1, jobs=2,
         store_dir=store_dir, stats=stats)
     assert again == results and stats == {"served": 2}
 
 
-def test_run_campaign_rejects_reseed_with_sharding(tmp_path):
-    from repro.experiments.campaign import run_campaign
+def _fake_fails_on_first_seed(cell):
+    if cell["experiment"] == "beta" and cell["seed"] == 1:
+        raise ValueError("seed-specific failure")
+    return _fake_campaign_cell(cell)
 
-    with pytest.raises(ValueError, match="reseed"):
-        run_campaign(["alpha"], reseed=True, shard_workers=2,
-                     store_dir=tmp_path / "store")
+
+def test_run_campaign_reseeded_retry_recovers_under_sharding(
+        tmp_path, monkeypatch):
+    from repro.experiments import campaign
+
+    monkeypatch.setattr(campaign, "run_campaign_cell",
+                        _fake_fails_on_first_seed)
+    store_dir = tmp_path / "store"
+    cells, results = campaign.run_campaign(
+        ["alpha", "beta"], quick=True, seed=1, jobs=2, retries=2,
+        backoff_s=0, reseed=True, store_dir=store_dir)
+    assert results == [_fake_campaign_cell(cell) for cell in cells]
+    # the reseeded cell has its own row; the original has none
+    reseeded = campaign.reseed_cell(cells[1], 1)
+    with ShardStore(store_dir) as store:
+        assert set(store.results()) == {cache_key(cells[0]),
+                                        cache_key(reseeded)}
 
 
 def test_cli_accepts_shard_flags():
@@ -367,6 +478,24 @@ def test_cli_accepts_shard_flags():
     args = build_parser().parse_args(
         ["run", "--shard-workers", "4", "--store-dir", "/tmp/s",
          "--resume"])
-    assert args.shard_workers == 4
+    assert args.jobs == 4  # one worker count, two spellings
     assert args.cache_dir == "/tmp/s"  # one store, two spellings
     assert args.resume
+
+
+def test_cli_profile_runs_in_process_under_timeout(tmp_path, capsys,
+                                                   monkeypatch):
+    """``--profile`` aggregates in this process, so it runs the cells
+    here and ignores ``--timeout`` (which needs a worker to kill)
+    rather than printing an empty profile."""
+    from repro.experiments.__main__ import main
+
+    monkeypatch.setenv("REPRO_PROFILE", "0")  # restored afterwards
+    assert main(["run", "fig2", "--profile", "--timeout", "60",
+                 "--cache-dir", str(tmp_path / "store"),
+                 "-o", str(tmp_path / "report.txt")]) == 0
+    err = capsys.readouterr().err
+    assert "--timeout ignored" in err
+    total = [line for line in err.splitlines()
+             if line.startswith("total")]
+    assert len(total) == 1 and int(total[0].split()[1]) > 0

@@ -88,6 +88,19 @@ def test_add_cells_retries_failed_rows_and_resets_on_request(store):
     assert store.counts() == {"pending": 2}
 
 
+def test_reenqueued_rows_lease_in_the_given_order(store):
+    # claims lease in rowid order, so a re-enqueued row must take its
+    # place in the new order (the campaign's costliest-first) rather
+    # than keep the one its first sweep gave it
+    store.add_cells(keyed(3))
+    for _ in range(3):
+        key, _ = store.claim("w", 10)
+        store.complete(key, {"v": key})
+    store.add_cells(reversed(keyed(3)), reset=True)
+    assert [store.claim("w", 10)[0] for _ in range(3)] == \
+        ["k2", "k1", "k0"]
+
+
 # ------------------------------------------------------------ leasing
 
 
