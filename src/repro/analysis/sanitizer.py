@@ -8,6 +8,9 @@ scheduler invariants after *every* dispatched event:
   the actual runqueue contents and ``total_runnable`` matches the
   global sum; no thread sits on two runqueues or is double-enqueued on
   one; every queued thread is runnable and points back at its core.
+* **co-run app counts** — each core's ``apps`` map (the input of the
+  co-run speed factor) equals the multiset of apps of the threads
+  whose ``rq_cpu`` is that core.
 * **tickless contract** — the engine's stopped-tick counter matches
   the per-core ``tick_stopped`` flags, and a parked core has no
   running thread and (absent a pending resched) no runnable work and
@@ -150,6 +153,7 @@ class Sanitizer:
             getattr(event.callback, "__qualname__", "?")
         self.checks_run += 1
         self._thread_queue_invariants()
+        self._corun_apps_invariants()
         self._tickless_invariants()
         self._offline_invariants()
         if self._check_cfs is not None:
@@ -217,6 +221,22 @@ class Sanitizer:
             self._fail("total-runnable",
                        f"total_runnable()={grand} but per-core "
                        f"runqueues hold {total} thread(s)")
+
+    def _corun_apps_invariants(self) -> None:
+        engine = self.engine
+        cores = engine.machine.cores
+        expected: list[dict] = [{} for _ in cores]
+        for thread in engine.threads:
+            cpu = thread.rq_cpu
+            if cpu is not None:
+                counts = expected[cpu]
+                counts[thread.app] = counts.get(thread.app, 0) + 1
+        for core, counts in zip(cores, expected):
+            if core.apps != counts:
+                self._fail("corun-apps",
+                           f"cpu{core.index}: app counts {core.apps} "
+                           f"but its threads' apps are {counts}",
+                           cpu=core.index)
 
     # ------------------------------------------------------------------
     # tickless contract

@@ -299,6 +299,7 @@ class Engine:
         core = self.machine.cores[cpu]
         thread.state = ThreadState.RUNNABLE
         thread.rq_cpu = cpu
+        core.app_enter(thread.app)
         thread.wait_start = self.now
         self.scheduler.enqueue_task(core, thread, flags)
         if self._nr_stopped_ticks:
@@ -326,6 +327,7 @@ class Engine:
         thread.state = state
         thread.sleep_start = self.now
         thread.rq_cpu = None
+        core.app_leave(thread.app)
         core.current = None
         core.need_resched = True
         hooks = self.tracer.on_switch
@@ -354,6 +356,8 @@ class Engine:
         self.scheduler.dequeue_task(src, thread, DequeueFlags.MIGRATE)
         thread.nr_migrations += 1
         thread.rq_cpu = dst_cpu
+        src.app_leave(thread.app)
+        dst.app_enter(thread.app)
         self.scheduler.enqueue_task(dst, thread, EnqueueFlags.MIGRATE)
         if self._nr_stopped_ticks:
             self._kick_stopped_ticks()
@@ -412,6 +416,8 @@ class Engine:
                 dst = self._constrain_cpu(thread, thread.cpu)
                 thread.rq_cpu = dst
                 dst_core = self.machine.cores[dst]
+                core.app_leave(thread.app)
+                dst_core.app_enter(thread.app)
                 self.scheduler.enqueue_task(dst_core, thread,
                                             EnqueueFlags.MIGRATE)
                 Tracer._fire(self.tracer.on_migrate, thread,
@@ -473,6 +479,8 @@ class Engine:
             dst = self._hotplug_target(curr)
             curr.rq_cpu = dst
             dst_core = self.machine.cores[dst]
+            core.app_leave(curr.app)
+            dst_core.app_enter(curr.app)
             self.scheduler.enqueue_task(dst_core, curr,
                                         EnqueueFlags.MIGRATE)
             self.metrics.incr("engine.migrations")
@@ -548,6 +556,7 @@ class Engine:
             self.scheduler.dequeue_task(core, thread, DequeueFlags.SLEEP)
             thread.state = ThreadState.BLOCKED
             thread.rq_cpu = None
+            core.app_leave(thread.app)
             core.current = None
             core.need_resched = True
             Tracer._fire(self.tracer.on_switch, core, thread, None)
@@ -557,6 +566,7 @@ class Engine:
             self.scheduler.dequeue_task(core, thread, DequeueFlags.SLEEP)
             thread.state = ThreadState.BLOCKED
             thread.rq_cpu = None
+            core.app_leave(thread.app)
         # sleep_start stays None: the wakeup path must not book the
         # stall as voluntary sleep time.
         thread.sleep_event = self.events.post(
@@ -673,10 +683,11 @@ class Engine:
             if nxt.wait_start is not None:
                 nxt.total_waittime += now - nxt.wait_start
                 nxt.wait_start = None
-            # _speed_of's unit-speed early-out, inlined (per switch)
+            # nxt's rq_cpu is this core, so its app is among the
+            # counted ones
             core._curr_speed = 1.0 \
                 if self.machine.corun_slowdown == 1.0 \
-                else self._speed_of(core)
+                else self.machine.speed_factor(core, nxt, len(core.apps))
             cost = self.ctx_switch_cost_ns
             if cost and prev is not nxt:
                 if nxt.run_remaining not in (None, RUN_FOREVER):
@@ -685,13 +696,6 @@ class Engine:
         hooks = tracer.on_switch
         if hooks:
             Tracer._fire(hooks, core, prev, nxt)
-
-    def _speed_of(self, core: Core) -> float:
-        if self.machine.corun_slowdown == 1.0 or core.current is None:
-            return 1.0
-        apps = {t.app for t in self.scheduler.runnable_threads(core)}
-        apps.add(core.current.app)
-        return self.machine.speed_factor(core, core.current, len(apps))
 
     def _update_curr(self, core: Core) -> None:
         """Charge wall time since the last accounting point to the
@@ -839,6 +843,7 @@ class Engine:
         thread.state = ThreadState.EXITED
         thread.exited_at = self.now
         thread.rq_cpu = None
+        core.app_leave(thread.app)
         core.current = None
         core.need_resched = True
         self.live_threads -= 1

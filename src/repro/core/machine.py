@@ -33,7 +33,7 @@ class Core:
                  "busy_ns", "idle_ns", "nr_switches",
                  "sched_overhead_ns", "_last_account",
                  "curr_started_at", "_curr_account_start",
-                 "_curr_speed")
+                 "_curr_speed", "apps")
 
     def __init__(self, engine: "Engine", index: int):
         self.engine = engine
@@ -76,6 +76,25 @@ class Core:
         self._curr_account_start = engine.now
         #: co-run speed factor of the current thread (1.0 = full speed)
         self._curr_speed = 1.0
+        #: app -> number of threads whose ``rq_cpu`` is this core (the
+        #: running one included); kept by the engine wherever it sets
+        #: or clears ``rq_cpu``, so the co-run speed needs no
+        #: runqueue walk
+        self.apps: dict[str, int] = {}
+
+    def app_enter(self, app: str) -> None:
+        """Count a thread of ``app`` onto this core's runqueue."""
+        apps = self.apps
+        apps[app] = apps.get(app, 0) + 1
+
+    def app_leave(self, app: str) -> None:
+        """Count a thread of ``app`` off this core's runqueue."""
+        apps = self.apps
+        left = apps[app] - 1
+        if left:
+            apps[app] = left
+        else:
+            del apps[app]
 
     def reset(self) -> None:
         """Restore construction-time state (``Engine.reset``).
@@ -103,6 +122,7 @@ class Core:
         self.curr_started_at = 0
         self._curr_account_start = 0
         self._curr_speed = 1.0
+        self.apps = {}
 
     @property
     def is_idle(self) -> bool:

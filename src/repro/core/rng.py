@@ -16,38 +16,47 @@ class RandomStream:
     """A named, independently seeded pseudo-random stream.
 
     The stream seed is derived by hashing ``(root_seed, name)`` so streams
-    are stable across runs and uncorrelated with each other.
+    are stable across runs and uncorrelated with each other.  ``draws``
+    counts the values drawn, so a run can tell afterwards whether its
+    seed mattered at all (:meth:`RandomSource.drew`).
     """
 
-    __slots__ = ("name", "_rng")
+    __slots__ = ("name", "_rng", "draws")
 
     def __init__(self, root_seed: int, name: str):
         self.name = name
+        self.draws = 0
         digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
         self._rng = random.Random(int.from_bytes(digest[:8], "big"))
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in ``[lo, hi]`` inclusive."""
+        self.draws += 1
         return self._rng.randint(lo, hi)
 
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform float in ``[lo, hi)``."""
+        self.draws += 1
         return self._rng.uniform(lo, hi)
 
     def expovariate(self, rate: float) -> float:
         """Exponential variate with the given rate (1/mean)."""
+        self.draws += 1
         return self._rng.expovariate(rate)
 
     def choice(self, seq):
         """Uniformly pick one element of a non-empty sequence."""
+        self.draws += 1
         return self._rng.choice(seq)
 
     def shuffle(self, seq) -> None:
         """Shuffle a mutable sequence in place."""
+        self.draws += 1
         self._rng.shuffle(seq)
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Normal variate."""
+        self.draws += 1
         return self._rng.gauss(mu, sigma)
 
     def jitter_ns(self, base_ns: int, fraction: float) -> int:
@@ -58,6 +67,7 @@ class RandomStream:
         """
         if fraction <= 0.0:
             return max(1, int(base_ns))
+        self.draws += 1
         factor = self._rng.uniform(1.0 - fraction, 1.0 + fraction)
         return max(1, int(base_ns * factor))
 
@@ -81,3 +91,12 @@ class RandomSource:
         if name not in self._streams:
             self._streams[name] = RandomStream(self.root_seed, name)
         return self._streams[name]
+
+    def drew(self) -> bool:
+        """Whether any stream has drawn a value.
+
+        The engine's only seed-dependent input is this source, so a
+        run that drew nothing followed the same trajectory it would
+        have followed under every other seed.
+        """
+        return any(stream.draws for stream in self._streams.values())

@@ -62,7 +62,7 @@ QUICK_EVENTS = {
     "fig8": 2_267_456,
     "fig9": 3_084_693,
     "i7": 120_683,
-    "sensitivity": 1_218_834,
+    "sensitivity": 678_150,
     "latency": 56_379,
     "predict": 13_471,
 }

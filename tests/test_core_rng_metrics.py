@@ -58,6 +58,35 @@ def test_uniform_and_choice():
     assert stream.choice([5]) == 5
 
 
+@pytest.mark.parametrize("draw", [
+    lambda s: s.randint(0, 9),
+    lambda s: s.uniform(0.0, 1.0),
+    lambda s: s.expovariate(2.0),
+    lambda s: s.choice([1, 2, 3]),
+    lambda s: s.shuffle([1, 2, 3]),
+    lambda s: s.gauss(0.0, 1.0),
+    lambda s: s.jitter_ns(1000, 0.25),
+], ids=["randint", "uniform", "expovariate", "choice", "shuffle",
+        "gauss", "jitter_ns"])
+def test_every_draw_flips_drew(draw):
+    src = RandomSource(5)
+    stream = src.stream("d")
+    assert not src.drew()
+    draw(stream)
+    assert stream.draws == 1
+    assert src.drew()
+
+
+def test_creating_a_stream_and_zero_jitter_draw_nothing():
+    """``jitter_ns`` with no spread returns ``base_ns`` without
+    touching the generator, so it is not a draw."""
+    src = RandomSource(6)
+    stream = src.stream("quiet")
+    assert stream.jitter_ns(1000, 0.0) == 1000
+    assert stream.draws == 0
+    assert not src.drew()
+
+
 # -------------------------------------------------------------- metrics
 
 def test_percentiles_interpolate():

@@ -141,6 +141,17 @@ def test_reset_after_hotplug_and_stall_cell(sched):
     assert all(core.online for core in engine.machine.cores)
 
 
+def test_reset_engine_has_drawn_nothing():
+    """A recycled engine's random source starts over: a run that
+    draws nothing is seed-free (``RandomSource.drew``), whatever the
+    engine's previous run drew."""
+    engine = Engine(smp(NCPUS), scheduler_factory("ule"), seed=1)
+    engine.random.stream("x").randint(0, 9)
+    assert engine.random.drew()
+    engine.reset(seed=2)
+    assert not engine.random.drew()
+
+
 def test_make_engine_warm_pool(monkeypatch):
     from repro.experiments import base
 

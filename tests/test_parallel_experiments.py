@@ -96,6 +96,20 @@ def _recording_claim(self, owner, lease_s, k=None):
     return batch
 
 
+def test_sensitivity_is_still_leased_before_fig5():
+    """``sensitivity`` runs each seed-free row once, yet it stays the
+    costliest cell of a campaign without ``fig8``/``fig9``/``fig6``,
+    so a pool still starts it first and ``fig5`` second."""
+    from repro.experiments.campaign import build_cells, cell_cost
+
+    names = ["table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5",
+             "fig7", "i7", "latency", "predict", "sensitivity"]
+    cells = sorted(build_cells(names, quick=True, seed=1),
+                   key=lambda cell: -cell_cost(cell))
+    assert [cell["experiment"] for cell in cells[:2]] == \
+        ["sensitivity", "fig5"]
+
+
 def test_campaign_pool_submits_longest_first_and_matches_serial(
         tmp_path, monkeypatch):
     """A ``jobs=2`` campaign leases its cells one per claim in

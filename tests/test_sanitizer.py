@@ -19,7 +19,7 @@ from repro.experiments.fig5_single_core_perf import run_app
 from repro.sched import scheduler_factory
 from repro.workloads import SpinnerWorkload
 from tests.conftest import SCHEDULERS as SMOKE_SCHEDULERS
-from tests.conftest import build_engine, churn, inject
+from tests.conftest import build_engine, churn, corun_engine, inject
 
 
 def make_engine(sched="fifo", ncpus=2, **kw):
@@ -325,6 +325,32 @@ def test_catches_thread_on_two_runqueues():
 
 
 # ----------------------------------------------------------------------
+# bug injection: co-run app counts
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("sched", ("cfs", "ule"))
+def test_catches_corun_app_count_drift(sched):
+    """A queued thread whose app count leaks onto another core (a
+    dequeue site that forgot its count) is caught at once."""
+    engine = make_engine(sched, ncpus=2)
+    threads = churn(engine)
+
+    def corrupt():
+        for thread in threads:
+            if thread.rq_cpu is not None:
+                engine.machine.cores[thread.rq_cpu].app_leave(thread.app)
+                engine.machine.cores[1 - thread.rq_cpu].app_enter(
+                    thread.app)
+                return
+
+    inject(engine, msec(1), corrupt)
+    with pytest.raises(SanitizerError) as exc_info:
+        engine.run(until=msec(5))
+    assert exc_info.value.invariant == "corun-apps"
+    assert exc_info.value.time_ns == msec(1)
+
+
+# ----------------------------------------------------------------------
 # bug injection: rbtree order corruption
 # ----------------------------------------------------------------------
 
@@ -481,3 +507,13 @@ def test_sanitized_multicore_run_clean():
         churn(engine, count=8)
         engine.run(until=msec(50))
         assert engine.sanitizer.checks_run > 0
+
+
+@pytest.mark.parametrize("sched", ("cfs", "ule"))
+def test_sanitized_corun_run_clean(sched):
+    """Two apps co-running over 8 cpus at the co-run speed (wakeups,
+    balancer migrations, an affinity move) keep every core's app
+    counts exact."""
+    engine = corun_engine(sched, sanitize=True)
+    assert engine.sanitizer.checks_run > 1000
+    assert engine.metrics.counter("engine.migrations") > 0
