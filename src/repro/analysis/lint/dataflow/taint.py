@@ -28,7 +28,8 @@ Sinks: event timestamps (``events.post(t)`` / ``events.repost(e, t)``),
 sort keys (``sorted``/``min``/``max``/``list.sort`` ``key=``, or
 sorting an ``id``-tainted iterable), digest inputs (``hashlib.X(d)``,
 ``h.update(d)``), RNG seeds (``random.Random(s)``, ``RandomSource(s)``,
-``.seed(s)``).
+``.seed(s)``), report text (any argument of ``render_report(...)`` or
+``ExperimentResult(...)``).
 
 Sanitizers: ``sorted``/``min``/``max``/``len``/``sum``/``any``/``all``
 kill order taint (their result no longer depends on input order);
@@ -126,6 +127,10 @@ SINK_EVENT_TIME = "event timestamp"
 SINK_SORT_KEY = "sort key"
 SINK_DIGEST = "digest input"
 SINK_RNG_SEED = "rng seed"
+SINK_REPORT = "report text"
+
+#: callees (last name part) every argument of which is report text
+REPORT_SINK_CALLS = frozenset({"render_report", "ExperimentResult"})
 
 
 class SinkParam(NamedTuple):
@@ -610,6 +615,15 @@ class _Ctx:
             # list.sort(key=...)
             if func.attr == "sort":
                 self._sort_sink(node, env, receiver_tags)
+        # report text
+        callee = _chain_str(func)
+        if callee is not None \
+                and callee.rsplit(".", 1)[-1] in REPORT_SINK_CALLS:
+            for arg, tags in zip(node.args, pos):
+                self._sink(node, tags, SINK_REPORT, arg)
+            for keyword in node.keywords:
+                self._sink(node, kw[keyword.arg], SINK_REPORT,
+                           keyword.value)
         if isinstance(func, ast.Name):
             name = func.id
             if name in ("sorted", "min", "max") \

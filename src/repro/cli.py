@@ -6,6 +6,7 @@ Subcommands::
     repro-sched experiment fig6 [--full] [--seed N] [--jobs N]
     repro-sched run MG --sched ule --cpus 32 [--trace]
     repro-sched compare MG --cpus 32      # CFS vs ULE on one workload
+    repro-sched report [--only EXP ...] [-o FILE]  # one campaign report
 
 ``--jobs N`` fans independent simulation cells out to N worker
 processes (0 = all cores); results are identical to a serial run —
@@ -116,53 +117,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Run every experiment and write one combined report."""
-    import io
-    import time
+    """Run the experiments as one campaign (``python -m
+    repro.experiments run``) and write its report."""
+    from .experiments.__main__ import main as campaign_main
 
-    from .experiments import experiment_names, run_experiment
-
-    buf = io.StringIO()
-    buf.write("# Reproduction report\n")
-    buf.write("# The Battle of the Schedulers: FreeBSD ULE vs. "
-              "Linux CFS (ATC'18)\n")
-    names = args.only or experiment_names()
-    if args.jobs is not None and len(names) > 1:
-        # Fan whole experiments out to worker processes; results come
-        # back in submission order, so the report is byte-identical to
-        # a serial run (minus the per-experiment timing lines).
-        from .experiments.parallel import run_experiments
-        t0 = time.time()  # schedlint: ignore[wall-clock] -- wall-clock progress reporting
-        print(f"running {len(names)} experiments with "
-              f"--jobs {args.jobs} ...", flush=True)
-        results = run_experiments(names, quick=not args.full,
-                                  seed=args.seed, jobs=args.jobs)
-        elapsed = time.time() - t0  # schedlint: ignore[wall-clock] -- wall-clock progress reporting
-        print(f"completed in {elapsed:.1f}s wall", flush=True)
-        for name, result in zip(names, results):
-            header = (f"\n\n{'=' * 72}\n== {name}: {result.claim}\n"
-                      f"{'=' * 72}\n")
-            buf.write(header)
-            buf.write(result.text)
-        names = []
-    for name in names:
-        t0 = time.time()  # schedlint: ignore[wall-clock] -- wall-clock progress reporting
-        print(f"running {name} ...", flush=True)
-        result = run_experiment(name, quick=not args.full,
-                                seed=args.seed)
-        elapsed = time.time() - t0  # schedlint: ignore[wall-clock] -- wall-clock progress reporting
-        header = (f"\n\n{'=' * 72}\n== {name}: {result.claim}\n"
-                  f"== (completed in {elapsed:.1f}s wall)\n{'=' * 72}\n")
-        buf.write(header)
-        buf.write(result.text)
-    text = buf.getvalue()
+    argv = ["run", *(args.only or ()), "--seed", str(args.seed)]
+    if args.full:
+        argv.append("--full")
+    if args.jobs is not None:
+        argv += ["--jobs", str(args.jobs)]
     if args.output:
-        from .core.artifacts import atomic_write_text
-        atomic_write_text(args.output, text)
-        print(f"report written to {args.output}")
-    else:
-        print(text)
-    return 0
+        argv += ["-o", args.output]
+    return campaign_main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report",
-                       help="run every experiment, write one report")
+                       help="run every experiment as one campaign "
+                            "(python -m repro.experiments run), "
+                            "write one report")
     p.add_argument("--output", "-o", default=None,
                    help="write to a file instead of stdout")
     p.add_argument("--only", nargs="*", default=None,
@@ -197,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", "-j", type=int, default=None,
-                   help="run experiments in N worker processes "
+                   help="leased campaign worker processes "
                         "(0 = all cores)")
     p.set_defaults(func=_cmd_report)
 

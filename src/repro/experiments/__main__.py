@@ -91,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="full-size configuration (slower)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", "-j", "--shard-workers", dest="jobs",
-                   type=int, default=None, metavar="N",
+    p.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                    help="leased worker processes sharing the result "
                         "store (0 = all cores; unset or 1 = "
                         "in-process); crash-tolerant: survives worker "
@@ -122,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recompute every cell instead of serving "
                         "stored ones (e.g. for timing runs); finished "
                         "cells are still recorded")
-    p.add_argument("--cache-dir", "--store-dir", dest="cache_dir",
-                   default=DEFAULT_STORE_DIR, metavar="DIR",
+    p.add_argument("--cache-dir", default=DEFAULT_STORE_DIR, metavar="DIR",
                    help="result-store directory (default: "
                         f"{DEFAULT_STORE_DIR}): every finished cell is "
                         "recorded there and served to later runs; "

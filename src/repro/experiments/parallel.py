@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 
 def default_jobs() -> int:
@@ -76,18 +76,3 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
         return pool.map(_call, [(fn, cell) for cell in cells],
                         chunksize=1)
 
-
-def _run_experiment_cell(cell):
-    name, quick, seed = cell
-    from .registry import run_experiment
-    return run_experiment(name, quick=quick, seed=seed)
-
-
-def run_experiments(names: Sequence[str], quick: bool = True,
-                    seed: int = 1, jobs: Optional[int] = None) -> list:
-    """Run several experiments, one worker process per experiment;
-    returns their :class:`~repro.experiments.base.ExperimentResult`
-    objects in ``names`` order.  Used by the full-report path of
-    ``repro.cli`` (``report --jobs N``)."""
-    return cell_map(_run_experiment_cell,
-                    [(name, quick, seed) for name in names], jobs=jobs)

@@ -285,6 +285,16 @@ TAINT_FIXTURES = [
                 h.update(name)
             return h.hexdigest()
         """, "taint-set-order"),
+    ("wallclock-into-report-text", """
+        import time
+        from repro.experiments.base import ExperimentResult
+        def f(run):
+            t0 = time.time()
+            rows = run()
+            elapsed = time.time() - t0
+            return ExperimentResult(experiment="x", claim="c", rows=rows,
+                                    text=f"done in {elapsed:.1f}s")
+        """, "taint-wall-clock"),
 ]
 
 
@@ -356,6 +366,16 @@ TAINT_NEGATIVES = [
     ("stable-tid-sort-key", """
         def f(threads):
             return sorted(threads, key=lambda t: t.tid)
+        """),
+    ("report-text-from-simulated-time", """
+        import sys
+        import time
+        from repro.experiments.base import ExperimentResult
+        def f(engine, rows):
+            t0 = time.time()
+            print(f"{time.time() - t0:.1f}s wall", file=sys.stderr)
+            return ExperimentResult(experiment="x", claim="c", rows=rows,
+                                    text=f"ran {engine.now} ns")
         """),
 ]
 

@@ -475,12 +475,16 @@ def test_run_campaign_reseeded_retry_recovers_under_sharding(
 def test_cli_accepts_shard_flags():
     from repro.experiments.__main__ import build_parser
 
-    args = build_parser().parse_args(
-        ["run", "--shard-workers", "4", "--store-dir", "/tmp/s",
-         "--resume"])
-    assert args.jobs == 4  # one worker count, two spellings
-    assert args.cache_dir == "/tmp/s"  # one store, two spellings
+    parser = build_parser()
+    args = parser.parse_args(
+        ["run", "--jobs", "4", "--cache-dir", "/tmp/s", "--resume"])
+    assert args.jobs == 4
+    assert args.cache_dir == "/tmp/s"
     assert args.resume
+    # one spelling per option: the old aliases are gone
+    for old in (["--shard-workers", "4"], ["--store-dir", "/tmp/s"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", *old])
 
 
 def test_cli_profile_runs_in_process_under_timeout(tmp_path, capsys,
