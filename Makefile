@@ -130,7 +130,7 @@ bench-full:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
 
-## per-subsystem event-profile breakdown over a representative
+## per-module cProfile self-time breakdown over a representative
 ## campaign slice (fig6: both schedulers' tick + balance paths),
 ## written to benchmarks/BENCH_profile.txt; CI uploads it alongside
 ## the trajectory so "where does the time go" is recorded per PR

@@ -13,7 +13,7 @@ the slowest profile would leave the fastest with a ~100x blind spot.
 Exit status: 0 = all green, 1 = floor violation.  Run via ``make
 bench-smoke`` (part of ``make verify`` and CI).  CI uploads
 ``BENCH_trajectory.json`` and the ``make bench-profile``
-per-subsystem breakdown so the cross-PR perf story rides along with
+per-module breakdown so the cross-PR perf story rides along with
 every run.
 """
 

@@ -43,7 +43,7 @@ Rules
 ``hot-loop-attr``
     A per-iteration ``self.<field>`` / ``engine.<field>`` load inside
     a loop in a ``run``-named function, where the field is one the
-    engine binds once at construction (``events``, ``profiler``,
+    engine binds once at construction (``events``, ``sanitizer``,
     ``scheduler``, ...).  Attribute lookup costs a dict probe per
     event; the run loops hoist these to locals before the loop, and
     this rule keeps new loop code from regressing that.  Loads in a
@@ -197,7 +197,7 @@ _CLOCKISH_NAMES = frozenset({"now", "time_ns"})
 #: Mutable per-event state (``now``, ``live_threads``, ``_stopped``,
 #: ``events_processed``) is deliberately NOT here.
 _HOISTABLE_FIELDS = frozenset({
-    "events", "profiler", "sanitizer", "scheduler", "machine",
+    "events", "sanitizer", "scheduler", "machine",
     "tracer", "faults", "tunables", "topology",
 })
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .analysis.stats import percent_diff
 from .core.clock import sec, to_sec, usec
+from .core.profile import profile_call
 from .experiments import (EXPERIMENTS, experiment_names, run_experiment)
 from .experiments.base import make_engine, run_workload
 from .sched import available_schedulers
@@ -48,7 +50,6 @@ def _cmd_experiment(args) -> int:
 def _run_one(name: str, sched: str, cpus: int, seed: int,
              noise: bool, sanitize: bool = False,
              faults_path: str | None = None,
-             profile: bool = False,
              decisions: bool = False) -> tuple:
     faults = None
     if faults_path is not None:
@@ -57,8 +58,7 @@ def _run_one(name: str, sched: str, cpus: int, seed: int,
     engine = make_engine(sched, ncpus=cpus, seed=seed,
                          ctx_switch_cost_ns=usec(15),
                          sanitize=True if sanitize else None,
-                         faults=faults,
-                         profile=True if profile else None)
+                         faults=faults)
     trace = None
     if decisions:
         from .tracing.decisions import attach_decision_trace
@@ -72,10 +72,15 @@ def _run_one(name: str, sched: str, cpus: int, seed: int,
 
 
 def _cmd_run(args) -> int:
-    engine, workload, reason, trace = _run_one(
-        args.name, args.sched, args.cpus, args.seed, args.noise,
-        sanitize=args.sanitize, faults_path=args.faults,
-        profile=args.profile, decisions=args.decisions is not None)
+    run = partial(_run_one, args.name, args.sched, args.cpus, args.seed,
+                  args.noise, sanitize=args.sanitize,
+                  faults_path=args.faults,
+                  decisions=args.decisions is not None)
+    table = None
+    if args.profile:
+        (engine, workload, reason, trace), table = profile_call(run)
+    else:
+        engine, workload, reason, trace = run()
     perf = workload.performance(engine)
     print(f"{args.name} on {args.sched} ({args.cpus} cpus): "
           f"performance={perf:.4f} ops/s, simulated "
@@ -96,9 +101,11 @@ def _cmd_run(args) -> int:
         with open(args.decisions, "w") as fh:
             count = trace.write_jsonl(fh)
         print(f"  decisions: {count} pick records -> {args.decisions}")
-    if args.profile and engine.profiler is not None:
-        print("\nper-subsystem profile (see docs/performance.md):")
-        print(engine.profiler.report())
+    if table is not None:
+        # stderr: stdout stays the run's result
+        print("per-module profile (see docs/performance.md):",
+              file=sys.stderr)
+        print(table, file=sys.stderr)
     return 0
 
 
@@ -193,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "docs/fault-injection.md) — hotplug, "
                                 "tick jitter, IPI loss, stalls")
             p.add_argument("--profile", action="store_true",
-                           help="report per-subsystem event counts "
-                                "and callback self-time after the "
-                                "run (see docs/performance.md)")
+                           help="report per-module call counts and "
+                                "cProfile self-time to stderr after "
+                                "the run (see docs/performance.md)")
             p.add_argument("--decisions", default=None, metavar="PATH",
                            help="export every pick_next decision as "
                                 "tid-free JSONL records (the "

@@ -40,8 +40,6 @@ from .errors import DeadlockError, SimulationError, ThreadStateError
 from .events import EventQueue
 from .machine import Core, Machine
 from .metrics import MetricRegistry
-from .profile import QUEUE_BUCKET, EventProfiler, global_profiler, \
-    profile_from_env, timestamp
 from .rng import RandomSource
 from .schedflags import DequeueFlags, EnqueueFlags, SelectFlags
 from .thread import SimThread, ThreadState
@@ -102,8 +100,7 @@ class Engine:
                  ctx_switch_cost_ns: int = 0,
                  tickless: Optional[bool] = None,
                  sanitize: Optional[bool] = None,
-                 faults=None,
-                 profile: Optional[bool] = None):
+                 faults=None):
         self.now = 0
         self.events = EventQueue()
         #: events executed by :meth:`run` (for events/sec reporting)
@@ -150,15 +147,6 @@ class Engine:
             # that import this engine module
             from ..analysis.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self)
-
-        #: per-subsystem event profiler (``--profile`` /
-        #: ``REPRO_PROFILE``); None (the default) costs one local None
-        #: test per event in :meth:`run`.  Env-enabled profiling
-        #: aggregates into the process-wide profiler so a serial
-        #: campaign can report across all its cells.
-        self.profiler: Optional[EventProfiler] = None
-        if profile_from_env() if profile is None else profile:
-            self.profiler = global_profiler()
 
     # ------------------------------------------------------------------
     # warm reuse (campaign workers)
@@ -995,13 +983,12 @@ class Engine:
             self.faults.start()
         self._stopped = False
         self._stop_reason = None
-        # The observers are bound once, here: each costs one local
+        # The sanitizer is bound once, here: it costs one local
         # ``is None`` test per event when off.  The event counter
         # accumulates locally and flushes once — the finally block
         # keeps events/sec reporting exact on every exit path,
         # including exceptions from callbacks.
         events_since_check = 0
-        profiler = self.profiler
         sanitizer = self.sanitizer
         pop_before = self.events.pop_before
         processed = 0
@@ -1009,25 +996,12 @@ class Engine:
             while True:
                 if self._stopped:
                     return self._stop_reason or "stopped"
-                if profiler is None:
-                    event = pop_before(until)
-                else:
-                    # queue-drain self-time (heap sift) gets its own
-                    # bucket: it belongs to no event callback but is
-                    # real per-event cost
-                    t0 = timestamp()
-                    event = pop_before(until)
-                    profiler.record(QUEUE_BUCKET, timestamp() - t0)
+                event = pop_before(until)
                 if event is None:
                     return self._queue_exhausted(until)
                 self.now = event.time
                 processed += 1
-                if profiler is None:
-                    event.callback(*event.args)
-                else:
-                    t0 = timestamp()
-                    event.callback(*event.args)
-                    profiler.record(event.label, timestamp() - t0)
+                event.callback(*event.args)
                 if sanitizer is not None:
                     sanitizer.after_event(event)
                 if stop_when is not None:

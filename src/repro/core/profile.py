@@ -1,129 +1,72 @@
-"""Per-subsystem event profiling (``--profile`` / ``REPRO_PROFILE``).
+"""Where a run's time goes (``--profile``).
 
-The perf work in this repo is measured, not asserted: the engine can
-classify every event it executes by *subsystem* — the prefix of the
-event label before the first ``:`` (``tick``, ``resched``, ``runend``,
-``wake``, ``spawn``, ``unstall``, scheduler balance labels, …) — and
-attribute the wall-clock **self-time** of the event's callback to that
-subsystem.  The report shows where simulated time is actually spent,
-which is how the hot-path changes in ``docs/performance.md`` were
-validated.  The run loop also times each queue pop into the
-:data:`QUEUE_BUCKET` pseudo-subsystem: its self-time is real
-per-event cost, but its pops are not executed events, so
-:attr:`EventProfiler.total_events` leaves it out.
+:func:`profile_call` runs a callable under ``cProfile`` and sums the
+self-time of every Python function by the module that defines it:
+one row per module path relative to ``src/repro`` (``core/events``,
+``cfs/balance``, ``ule/runq``), plus one ``python`` row for code
+outside the package (stdlib, importlib).  Self-time is cProfile's
+``tt``: time inside a function minus the time in the Python functions
+it calls.  The profiler runs with ``builtins=False``, so a C builtin
+(``len``, ``heapq.heappush``) is not a function of its own and its
+time stays with the Python function that called it.
 
-The profiler is strictly off the hot path: when disabled (the
-default), :meth:`Engine.run` takes a single ``is None`` branch per
-event and allocates nothing.  When enabled it costs two
-``perf_counter`` reads per event, so profiled throughput numbers are
-*relative* (use ``make bench`` for absolute ones).
-
-Profiled wall-clock use is measurement-only and never feeds back into
-the simulation, hence the schedlint suppressions below.
-
-``global_profiler()`` returns a process-wide instance shared by every
-engine whose profiling was enabled via the environment — this is what
-lets the campaign runner (``python -m repro.experiments run
---profile``, which forces serial execution) aggregate across all the
-cells of a campaign.
+``calls`` counts calls of a module's Python functions.  For the same
+command they are the same on every run, which the seconds are not,
+so compare two runs by their call counts.  cProfile slows a run
+several-fold, so profiled seconds are relative; ``make bench`` and
+``perfbench/`` give absolute ones.  Profiling only observes the run:
+the simulated schedule is the same with or without it.
 """
 
 from __future__ import annotations
 
-import os
-from time import perf_counter_ns
+import cProfile
+from pathlib import Path
+
+#: the package root the module rows are relative to (``src/repro``)
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
 
 
-def profile_from_env() -> bool:
-    """``REPRO_PROFILE`` truthiness (unset/0/false/no/off = off)."""
-    value = os.environ.get("REPRO_PROFILE", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
+def _module_of(filename: str) -> str:
+    """The row of a function defined in ``filename``."""
+    try:
+        module = Path(filename).resolve().relative_to(_PACKAGE_DIR)
+    except ValueError:
+        return "python"
+    return module.with_suffix("").as_posix()
 
 
-#: the run loop's queue-pop bucket: self-time only, never an event
-QUEUE_BUCKET = "eventq"
+def _module_table(stats: dict) -> str:
+    """The fixed-width per-module table of a cProfile ``stats`` dict:
+    rows sorted by self-time (descending, name-tiebroken), then one
+    ``total <calls> <seconds>`` line."""
+    rows: dict[str, list] = {}
+    for (filename, _line, _name), (_cc, nc, tt, _ct, _callers) in \
+            stats.items():
+        row = rows.setdefault(_module_of(filename), [0, 0.0])
+        row[0] += nc
+        row[1] += tt
+    total_calls = sum(calls for calls, _ in rows.values())
+    total_s = sum(self_s for _, self_s in rows.values())
+    width = max([len("module"), *map(len, rows)])
+    lines = [f"{'module':<{width}} {'calls':>12} {'self-s':>9} "
+             f"{'share':>6}"]
+    for module in sorted(rows, key=lambda m: (-rows[m][1], m)):
+        calls, self_s = rows[module]
+        share = 100.0 * self_s / total_s if total_s else 0.0
+        lines.append(f"{module:<{width}} {calls:>12} {self_s:>9.3f} "
+                     f"{share:>5.1f}%")
+    lines.append(f"{'total':<{width}} {total_calls:>12} {total_s:>9.3f}")
+    return "\n".join(lines)
 
 
-class EventProfiler:
-    """Accumulates per-subsystem event counts and callback self-time.
-
-    ``record(label, ns)`` is called by the engine's run loop for every
-    executed event; the subsystem is the label up to the first ``:``
-    (the whole label when there is none, ``"?"`` for unlabelled
-    events).
-    """
-
-    __slots__ = ("counts", "self_ns")
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-        self.self_ns: dict[str, int] = {}
-
-    def record(self, label: str, ns: int) -> None:
-        """Attribute one executed event (``ns`` of callback self-time)
-        to the subsystem named by its label prefix."""
-        subsystem = label.partition(":")[0] or "?"
-        counts = self.counts
-        if subsystem in counts:
-            counts[subsystem] += 1
-            self.self_ns[subsystem] += ns
-        else:
-            counts[subsystem] = 1
-            self.self_ns[subsystem] = ns
-
-    def merge(self, other: "EventProfiler") -> None:
-        """Fold another profiler's totals into this one."""
-        for subsystem, count in other.counts.items():
-            self.counts[subsystem] = self.counts.get(subsystem, 0) + count
-            self.self_ns[subsystem] = (self.self_ns.get(subsystem, 0)
-                                       + other.self_ns[subsystem])
-
-    def clear(self) -> None:
-        """Reset all accumulated counts and self-times."""
-        self.counts.clear()
-        self.self_ns.clear()
-
-    @property
-    def total_events(self) -> int:
-        """Executed events (the queue-pop bucket is not one)."""
-        return sum(count for subsystem, count in self.counts.items()
-                   if subsystem != QUEUE_BUCKET)
-
-    def report(self) -> str:
-        """A fixed-width table, subsystems sorted by self-time
-        (descending, name-tiebroken for determinism)."""
-        rows = sorted(self.counts,
-                      key=lambda s: (-self.self_ns[s], s))
-        total_n = self.total_events
-        total_ns = sum(self.self_ns.values())
-        lines = [f"{'subsystem':<14} {'events':>10} {'self-time':>12} "
-                 f"{'%time':>6}  {'ns/event':>9}"]
-        for subsystem in rows:
-            count = self.counts[subsystem]
-            ns = self.self_ns[subsystem]
-            # presentation-only ratios; never feed back into the sim
-            share = 100.0 * ns / total_ns if total_ns else 0.0  # schedlint: ignore[float-ns-clock]
-            per = ns / count if count else 0.0  # schedlint: ignore[float-ns-clock]
-            lines.append(f"{subsystem:<14} {count:>10} "
-                         f"{ns / 1e6:>10.2f}ms {share:>5.1f}%  {per:>9.0f}")  # schedlint: ignore[float-ns-clock]
-        lines.append(f"{'total':<14} {total_n:>10} "
-                     f"{total_ns / 1e6:>10.2f}ms {100.0:>5.1f}%")  # schedlint: ignore[float-ns-clock]
-        return "\n".join(lines)
-
-
-#: the process-wide aggregation target for env-enabled profiling
-_GLOBAL: EventProfiler | None = None
-
-
-def global_profiler() -> EventProfiler:
-    """The shared process-wide profiler (created on first use)."""
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = EventProfiler()
-    return _GLOBAL
-
-
-def timestamp() -> int:
-    """Monotonic wall-clock in ns (measurement only; never feeds back
-    into simulated state)."""
-    return perf_counter_ns()  # schedlint: ignore[wall-clock]
+def profile_call(fn, *args, **kwargs) -> tuple:
+    """``(fn(*args, **kwargs), table)``: the call's result and its
+    per-module self-time table (see :func:`_module_table`)."""
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        profile.create_stats()  # disables the profiler first
+    return result, _module_table(profile.stats)

@@ -17,10 +17,11 @@ docs/fault-injection.md for the determinism contract).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from functools import partial
 
 from ..core.artifacts import atomic_write_text
+from ..core.profile import profile_call
 from .campaign import render_report, run_campaign
 from .registry import experiment_names
 from .shard import FailedCell
@@ -37,11 +38,9 @@ def _cmd_run(args) -> int:
         return 2
     jobs, timeout = args.jobs, args.timeout
     if args.profile:
-        # Profiling aggregates the process-wide profiler across every
-        # cell, which requires running in-process (so no worker, and
-        # no timeout, which needs a worker to kill), and a served cell
-        # executes nothing to measure.
-        os.environ["REPRO_PROFILE"] = "1"
+        # cProfile sees only this process, so the cells run here (no
+        # worker, and no timeout, which needs a worker to kill), and a
+        # served cell executes nothing to measure.
         if jobs not in (None, 1):
             print("--profile forces serial execution (--jobs ignored)",
                   file=sys.stderr)
@@ -50,22 +49,26 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
         jobs = timeout = None
     stats: dict = {}
-    cells, results = run_campaign(
-        names, quick=not args.full, seed=args.seed, jobs=jobs,
-        timeout_s=timeout, retries=args.retries,
+    campaign = partial(
+        run_campaign, names, quick=not args.full, seed=args.seed,
+        jobs=jobs, timeout_s=timeout, retries=args.retries,
         backoff_s=args.backoff, reseed=args.reseed,
         store_dir=args.cache_dir,
         serve=args.resume or not (args.no_cache or args.profile),
         stats=stats)
+    table = None
+    if args.profile:
+        (cells, results), table = profile_call(campaign)
+    else:
+        cells, results = campaign()
     # stderr: the stdout report must stay byte-identical whether
     # cells were computed or served from the store
     print(f"cell cache: {stats['served']} hit(s), "
           f"{len(cells) - stats['served']} executed", file=sys.stderr)
-    if args.profile:
-        from ..core.profile import global_profiler
-        print("per-subsystem profile (all cells; see "
+    if table is not None:
+        print("per-module profile (all cells; see "
               "docs/performance.md):", file=sys.stderr)
-        print(global_profiler().report(), file=sys.stderr)
+        print(table, file=sys.stderr)
     report = render_report(cells, results)
     if args.output:
         atomic_write_text(args.output, report)
@@ -129,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "src/repro changes")
     p.add_argument("--profile", action="store_true",
                    help="run in-process (--jobs and --timeout are "
-                        "ignored) and report per-subsystem event "
-                        "counts and self-time aggregated over every "
-                        "cell (recomputes served cells; see "
+                        "ignored) and report per-module call counts "
+                        "and cProfile self-time over every cell to "
+                        "stderr (recomputes served cells; see "
                         "docs/performance.md)")
     p.add_argument("--output", "-o", default=None,
                    help="write the report to a file (atomically) "

@@ -64,7 +64,6 @@ def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
                 tickless: Optional[bool] = None,
                 sanitize: Optional[bool] = None,
                 faults=None,
-                profile=None,
                 **sched_options) -> Engine:
     """Engine factory used by all experiment drivers.
 
@@ -74,9 +73,7 @@ def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
     determinism tests run both settings and compare); ``sanitize``
     overrides the ``REPRO_SANITIZE`` environment default; ``faults``
     injects a :class:`~repro.faults.plan.FaultPlan` (empty plans are
-    digest-identical to no plan; see docs/fault-injection.md);
-    ``profile`` overrides the ``REPRO_PROFILE`` environment default
-    (see docs/performance.md).
+    digest-identical to no plan; see docs/fault-injection.md).
 
     With ``REPRO_WARM_ENGINES`` set (campaign workers export it), an
     engine with the same construction signature is reused via
@@ -91,7 +88,7 @@ def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
     if _warm_enabled():
         try:
             key = (sched, ncpus, corun_slowdown, ctx_switch_cost_ns,
-                   tickless, sanitize, profile,
+                   tickless, sanitize,
                    tuple(sorted(sched_options.items())))
             engine = _WARM_POOL.get(key)
         except TypeError:
@@ -110,8 +107,7 @@ def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
     engine = Engine(topo, scheduler_factory(sched, **sched_options),
                     seed=seed, corun_slowdown=corun_slowdown,
                     ctx_switch_cost_ns=ctx_switch_cost_ns,
-                    tickless=tickless, sanitize=sanitize, faults=faults,
-                    profile=profile)
+                    tickless=tickless, sanitize=sanitize, faults=faults)
     if key is not None:
         _WARM_POOL[key] = engine
     return engine

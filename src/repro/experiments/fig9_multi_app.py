@@ -15,6 +15,8 @@ bars are the performance relative to running alone on CFS:
   >80 %; CFS shares fairly and both suffer moderately.
 * **apache + sysbench** (interactive + interactive): both schedulers
   perform similarly.
+
+The figure has no quick mode: quick and full runs are the same.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ def _run_alone(sched: str, factory, seed: int = 1) -> float:
 def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
     """Run this experiment and return its result (see module doc)."""
     result = ExperimentResult("fig9", CLAIM)
-    pairs = PAIRS if not quick else PAIRS
     labels = []
     series = {"cfs_multi": [], "ule_single": [], "ule_multi": []}
     # (scheduler, app factory) -> its performance alone; a run is
@@ -115,7 +116,7 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
             alone[key] = _run_alone(sched, factory, seed=seed)
         return alone[key]
 
-    for name_a, fa, name_b, fb, kind in pairs:
+    for name_a, fa, name_b, fb, kind in PAIRS:
         # baselines: each app alone on CFS (the figure's reference)
         base_a = run_alone("cfs", fa)
         base_b = run_alone("cfs", fb)

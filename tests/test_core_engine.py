@@ -240,31 +240,41 @@ def test_charge_overhead_delays_completion():
     assert eng.machine.cores[0].sched_overhead_ns == msec(3)
 
 
-def test_profiled_total_counts_executed_events_only():
-    """The queue-pop bucket keeps its self-time row but is not counted
-    as events: the reported total equals the events the loop ran."""
-    from repro.core.profile import QUEUE_BUCKET, global_profiler
-
-    global_profiler().clear()
-    eng = Engine(smp(4), scheduler_factory("cfs"), profile=True)
+def _profiled_cfs_run():
+    """A small smp(4) CFS run of spinners and sleepers under
+    :func:`repro.core.profile.profile_call`: (engine, table rows)."""
+    from repro.core.profile import profile_call
 
     def sleeper(ctx):
         for _ in range(20):
             yield Run(msec(1))
             yield Sleep(msec(2))
 
-    for i in range(6):
-        eng.spawn(ThreadSpec(f"spin{i}", lambda ctx: iter([run_forever()])))
-        eng.spawn(ThreadSpec(f"sleep{i}", sleeper))
-    eng.run(until=msec(100))
-    profiler = eng.profiler
-    try:
-        assert profiler.counts[QUEUE_BUCKET] > eng.events_processed
-        assert profiler.total_events == eng.events_processed
-        report = profiler.report().splitlines()
-        assert any(line.startswith(QUEUE_BUCKET) for line in report)
-        total = report[-1].split()
-        assert total[0] == "total"
-        assert int(total[1]) == eng.events_processed
-    finally:
-        profiler.clear()
+    def run():
+        eng = Engine(smp(4), scheduler_factory("cfs"))
+        for i in range(6):
+            eng.spawn(ThreadSpec(f"spin{i}",
+                                 lambda ctx: iter([run_forever()])))
+            eng.spawn(ThreadSpec(f"sleep{i}", sleeper))
+        eng.run(until=msec(100))
+        return eng
+
+    eng, table = profile_call(run)
+    return eng, [line.split() for line in table.splitlines()[1:]]
+
+
+def test_profile_reports_self_time_per_module():
+    """One row per module of the package, a ``total`` line whose calls
+    are the rows' sum, and call counts that repeat run to run."""
+    _profiled_cfs_run()  # lazy imports land outside the compared runs
+    eng, rows = _profiled_cfs_run()
+    assert eng.events_processed > 0
+    *modules, total = rows
+    names = [row[0] for row in modules]
+    assert "core/events" in names
+    assert any(name.startswith("cfs/") for name in names)
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(row[1]) for row in modules)
+    _, again = _profiled_cfs_run()
+    assert (sorted((row[0], row[1]) for row in again)
+            == sorted((row[0], row[1]) for row in rows))

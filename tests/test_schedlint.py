@@ -84,7 +84,7 @@ FIXTURES = {
     "hot-loop-attr": """
         def run(self, until):
             while True:
-                self.profiler.tick()
+                self.sanitizer.tick()
         """,
 }
 
@@ -273,7 +273,7 @@ def test_hot_loop_attr_condition_and_body_both_flagged():
     findings = lint("""
         def run(engine, until):
             while engine.events:
-                engine.profiler.account(1)
+                engine.sanitizer.account(1)
         """)
     assert rules_of(findings) == ["hot-loop-attr"]
     assert len(findings) == 2
@@ -285,9 +285,9 @@ def test_hot_loop_attr_hoisted_loop_is_clean():
     assert lint("""
         def run(self, until):
             events = self.events
-            profiler = self.profiler
+            sanitizer = self.sanitizer
             while events:
-                profiler.account(events.pop())
+                sanitizer.account(events.pop())
         """) == []
 
 
@@ -689,7 +689,7 @@ def test_hot_loop_attr_async_for_flagged():
     findings = lint("""
         async def run(self):
             async for item in self.inbox:
-                self.profiler.tick()
+                self.sanitizer.tick()
         """)
     assert rules_of(findings) == ["hot-loop-attr"]
 

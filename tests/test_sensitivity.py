@@ -80,3 +80,23 @@ def test_seed_free_rows_render_one_schedule_for_every_seed():
             assert not engine.random.drew(), name
             digests.setdefault(name, []).append(schedule_digest(engine))
     assert all(a == b for a, b in digests.values()), digests
+
+
+@pytest.mark.parametrize("seed, expected", ((1, [1, 2, 3]), (7, [7, 8, 9])))
+def test_run_measures_the_seeds_from_its_seed(monkeypatch, seed, expected):
+    """``run(seed=s)`` measures seeds s, s+1, s+2, so a campaign cell
+    keyed on another seed measures other seeds (fake measures, no
+    engines)."""
+    from repro.experiments import sensitivity
+
+    calls = {}
+    for name in ("_tps_ratio", "_starved", "_ule_converge",
+                 "_cfs_rough"):
+        def measure(s, name=name):
+            calls.setdefault(name, []).append(s)
+            return float(s), True
+        monkeypatch.setattr(sensitivity, name, measure)
+    result = sensitivity.run(quick=True, seed=seed)
+    assert calls == {name: expected for name in calls}
+    assert len(calls) == 4
+    assert f"seeds {expected}" in result.text

@@ -487,14 +487,12 @@ def test_cli_accepts_shard_flags():
             parser.parse_args(["run", *old])
 
 
-def test_cli_profile_runs_in_process_under_timeout(tmp_path, capsys,
-                                                   monkeypatch):
-    """``--profile`` aggregates in this process, so it runs the cells
+def test_cli_profile_runs_in_process_under_timeout(tmp_path, capsys):
+    """``--profile`` profiles this process, so it runs the cells
     here and ignores ``--timeout`` (which needs a worker to kill)
     rather than printing an empty profile."""
     from repro.experiments.__main__ import main
 
-    monkeypatch.setenv("REPRO_PROFILE", "0")  # restored afterwards
     assert main(["run", "fig2", "--profile", "--timeout", "60",
                  "--cache-dir", str(tmp_path / "store"),
                  "-o", str(tmp_path / "report.txt")]) == 0
