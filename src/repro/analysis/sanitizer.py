@@ -15,7 +15,7 @@ scheduler invariants after *every* dispatched event:
   the per-core ``tick_stopped`` flags, and a parked core has no
   running thread and (absent a pending resched) no runnable work and
   ``needs_tick() == False``.
-* **CFS** — rbtree ordering and leftmost cache, ``nr_running`` /
+* **CFS** — timeline ordering and leftmost cache, ``nr_running`` /
   ``load_weight`` / hierarchical ``h_nr_running`` bookkeeping, curr
   kept out of the tree, cached ``min_vruntime`` never moving
   backwards, PELT averages staying in range (``util_avg <= 1``
@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from ..cfs.peltbank import fold_loads_python
 from ..core.errors import SanitizerError
 from ..ule.priority import compute_priority
 
@@ -316,7 +315,7 @@ class Sanitizer:
     def _cfs_invariants(self) -> None:
         fair = self._cfs
         now = self.engine.now
-        # cpu -> the exact PELT fold of its runnable tasks at ``now``
+        # cpu -> the exact PELT load of its runnable tasks at ``now``
         cpu_loads: list = []
         for core in self.engine.machine.cores:
             stack = [fair.cpurq(core).root]
@@ -339,9 +338,10 @@ class Sanitizer:
                            f"{fair.runnable_weight[core.index]} but its "
                            f"runnable tasks weigh {weight}",
                            cpu=core.index)
-            avgs = [t.policy.se.avg for t in threads]
-            cpu_loads.append(fold_loads_python(
-                avgs, [avg.weight for avg in avgs], now))
+            load = 0.0
+            for t in threads:  # loads_for's summation order
+                load += t.policy.se.avg.peek(now, True)
+            cpu_loads.append(load)
         self._cfs_group_load_invariants(cpu_loads)
         for group in (fair.root_group, *fair._app_groups.values()):
             total = sum(rq.load_weight for rq in group.cfs_rqs)
@@ -382,26 +382,23 @@ class Sanitizer:
         cpu = core.index
         tree = rq.tree
         # explicit ordering walk: keys strictly increasing, leftmost
-        # cache correct, node count consistent
-        keys = [key for key, _ in tree.items()]
-        if len(keys) != len(tree):
-            self._fail("rbtree-count",
-                       f"cpu{cpu} rq walk yields {len(keys)} nodes, "
+        # cache correct, entry count consistent
+        walk = list(tree.items())
+        keys = [key for key, _ in walk]
+        if len(walk) != len(tree):
+            self._fail("cfs-timeline-count",
+                       f"cpu{cpu} rq walk yields {len(walk)} entries, "
                        f"len(tree)={len(tree)}", cpu=cpu)
         if any(a >= b for a, b in zip(keys, keys[1:])):
-            self._fail("rbtree-order",
+            self._fail("cfs-timeline-order",
                        f"cpu{cpu} rq timeline keys are not strictly "
                        f"increasing: {keys}", cpu=cpu)
-        if keys and tree.min_key() != keys[0]:
-            self._fail("rbtree-leftmost",
-                       f"cpu{cpu} rq cached leftmost {tree.min_key()} "
-                       f"!= smallest key {keys[0]}", cpu=cpu)
-        try:
-            tree.check_invariants()
-        except AssertionError as exc:
-            self._fail("rbtree-structure",
-                       f"cpu{cpu} rq red-black structure violated: "
-                       f"{exc}", cpu=cpu)
+        first = walk[0][1] if walk else None
+        if tree.leftmost_value is not first:
+            self._fail("cfs-timeline-leftmost",
+                       f"cpu{cpu} rq cached leftmost "
+                       f"{tree.leftmost_value} is not the first entity "
+                       f"in the walk, {first}", cpu=cpu)
         nr_curr = 1 if rq.curr is not None else 0
         if rq.nr_running != len(tree) + nr_curr:
             self._fail("cfs-nr-running",
@@ -412,7 +409,7 @@ class Sanitizer:
             self._fail("cfs-curr-queued",
                        f"cpu{cpu} rq curr {rq.curr} is also in the "
                        f"timeline tree", cpu=cpu)
-        entities = [se for _, se in tree.items()]
+        entities = [se for _, se in walk]
         if rq.curr is not None:
             entities.append(rq.curr)
         weight = sum(se.weight for se in entities)

@@ -7,7 +7,6 @@ from .core import CfsScheduler, CfsTaskState
 from .entity import SchedEntity
 from .params import CfsTunables
 from .pelt import LoadAvg
-from .rbtree import RBTree
 from .runqueue import CfsRq
 from .weights import NICE_0_LOAD, calc_delta_fair, nice_to_weight
 
@@ -18,7 +17,6 @@ __all__ = [
     "CfsRq",
     "SchedEntity",
     "TaskGroup",
-    "RBTree",
     "LoadAvg",
     "NICE_0_LOAD",
     "nice_to_weight",

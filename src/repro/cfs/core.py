@@ -2,8 +2,9 @@
 
 Faithful to §2.1 of the paper:
 
-* weighted fair queueing on vruntime, leftmost-first from a red-black
-  tree;
+* weighted fair queueing on vruntime, leftmost-first from a timeline
+  kept in vruntime order (the kernel's red-black tree, reduced to its
+  order);
 * 48 ms scheduling period stretching to 6 ms x nr beyond 8 threads,
   slice-expiry preemption at every 1 ms tick;
 * wakeup preemption only when the woken thread's vruntime is more than
@@ -485,11 +486,10 @@ class CfsScheduler(SchedClass):
         tight loop, and return the live cpu-indexed memo list (entries
         outside ``cpus`` may be ``None``).
 
-        The bank fold is :func:`~repro.cfs.peltbank.fold_loads_python`
-        inlined — one loop per balancing pass instead of one call per
-        CPU.  Keep the two bodies in sync: ``tests/test_peltbank.py``
-        pins the reference against a per-average ``LoadAvg.peek``, and
-        the engine-level digests pin this copy.
+        Each bank's fold is ``LoadAvg.peek`` inlined, one loop per
+        balancing pass instead of one call per average;
+        ``tests/test_cfs_load_fold.py`` pins it bit-for-bit against a
+        left-to-right sum of ``peek``.
         """
         now = self.engine.now
         cache = self._load_cache

@@ -54,11 +54,6 @@ class CfsTunables:
     cache_nice_tries: int = 1
     #: group threads into per-application task groups (autogroup)
     autogroup: bool = True
-    #: timeline representation: True = flat sorted-array backend
-    #: (binary-insert, digest-identical, faster at the queue depths
-    #: the paper's workloads reach), False = the red-black tree it is
-    #: diffed against (see docs/performance.md)
-    flat_timeline: bool = True
 
     def sched_period(self, nr_running: int) -> int:
         """The paper's rule: 48 ms up to 8 threads, then 6 ms each."""

@@ -3,7 +3,9 @@
 Implements the vruntime timeline exactly as described in §2.1 of the
 paper:
 
-* entities ordered by vruntime in a red-black tree, leftmost runs next;
+* entities ordered by vruntime, leftmost runs next (the kernel keeps
+  the order in a red-black tree; the model keeps only the order, in a
+  :class:`~repro.cfs.timeline.FlatTimeline`);
 * ``min_vruntime`` advances monotonically and anchors placement;
 * a newly forked entity starts one slice into the future (the paper's
   "starts with a vruntime equal to the maximum vruntime of the threads
@@ -21,7 +23,6 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..core.errors import SchedulerError
 from .entity import SchedEntity
-from .rbtree import RBTree
 from .timeline import FlatTimeline
 from .weights import calc_delta_fair
 
@@ -56,10 +57,9 @@ class CfsRq:
         self.group = group
         #: the group entity representing this rq one level up
         self.owner_entity = owner_entity
-        #: the timeline backend: both expose the same ordered-map
-        #: surface and a maintained ``leftmost_value``, and produce
-        #: identical schedules (see cfs/timeline.py)
-        self.tree = FlatTimeline() if tunables.flat_timeline else RBTree()
+        #: the vruntime-ordered queued entities, with a maintained
+        #: ``leftmost_value`` (see cfs/timeline.py)
+        self.tree = FlatTimeline()
         self.curr: Optional[SchedEntity] = None
         self.skip: Optional[SchedEntity] = None
         self.min_vruntime = 0

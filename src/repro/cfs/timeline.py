@@ -1,18 +1,15 @@
-"""A flat sorted-array CFS timeline (the red-black tree's fast twin).
+"""The CFS timeline: a runqueue's entities in vruntime order.
 
-Keeps ``(vruntime, tie)`` keys in a sorted list with a parallel value
-list: insert/remove locate the slot by binary search and shift with
-``list.insert`` / ``del`` (a C memmove).  At the per-runqueue depths
-the benchmark profiles produce (tens of entities), the memmove beats
-the pointer-chasing red-black fixups by a wide margin.  It is the
-default backend (``CfsTunables.flat_timeline``); the tree stays as
-the reference it is diffed against — see docs/performance.md.
+The kernel keeps this order in a red-black tree; the model needs only
+the order, so it keeps ``(vruntime, tie)`` keys in a sorted list with
+a parallel value list.  Insert/remove locate the slot by binary
+search and shift with ``list.insert`` / ``del`` (a C memmove), which
+beats pointer-chasing tree fixups at the runqueue depths the paper's
+workloads reach — see docs/performance.md.
 
-Both backends maintain ``leftmost_value`` as a plain attribute (the
-hot read on the tick and min_vruntime paths) and expose the same
-ordered-map surface, so :class:`~repro.cfs.runqueue.CfsRq` is
-representation-blind and the schedule is digest-identical either way
-(``tests/test_flat_timeline.py`` pins this differentially).
+``leftmost_value`` is a maintained plain attribute (the hot read on
+the tick and min_vruntime paths).  The unit tests diff every
+operation against a plain ``dict`` read through ``sorted()``.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ class FlatTimeline:
         return idx < len(keys) and keys[idx] == key
 
     # ------------------------------------------------------------------
-    # public operations (the RBTree surface)
+    # public operations
     # ------------------------------------------------------------------
 
     def insert(self, key, value) -> None:
@@ -72,15 +69,6 @@ class FlatTimeline:
             values = self._values
             self.leftmost_value = values[0] if values else None
         return value
-
-    def min_key(self):
-        """Smallest key, or None when empty."""
-        keys = self._keys
-        return keys[0] if keys else None
-
-    def min_value(self):
-        """Value of the smallest key (the leftmost entity)."""
-        return self.leftmost_value
 
     def second_value(self):
         """Value of the second-smallest key, or None."""

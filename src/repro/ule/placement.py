@@ -126,16 +126,22 @@ def _search_lowpri(sched: "UleScheduler", cpus, pri: int):
 
     A tdq's best priority is the lowest of its realtime queue's first,
     its calendar's first (offset into the batch band) and its running
-    thread's, and ``nqueues`` when it holds nothing (load 0).  The test
-    stops at the first of them at or better than ``pri``, so a busy
-    cpu is usually ruled out by its running thread alone.
+    thread's, and ``nqueues`` when it holds nothing (load 0).  It is
+    never worse than ``nqueues``: a calendar thread far round the
+    circle sits past the batch band's end, but no further back than an
+    empty tdq.  So at ``pri >= nqueues`` no CPU qualifies, and the pass
+    only looks for the least-loaded one.  Otherwise the test stops at
+    the first of them at or better than ``pri``, so a busy cpu is
+    usually ruled out by its running thread alone.
 
     A CPU whose load cannot beat the best qualifying one skips the
     priority test, and a qualifying empty CPU ends the pass — nothing
     beats load 0 (the overall answer is then unused)."""
     tdqs = sched.tdqs()
     tun = sched.tunables
-    idle_runs_first = tun.nqueues > pri
+    if pri >= tun.nqueues:
+        return None, min(cpus, key=lambda cpu: tdqs[cpu].load,
+                         default=None)
     # realtime priorities at or better than ``pri``: bits 0..pri
     rt_blocks = (2 << pri) - 1
     # a calendar thread sits in the batch band, so it can only be at
@@ -151,10 +157,8 @@ def _search_lowpri(sched: "UleScheduler", cpus, pri: int):
         if found is not None and load >= found_load:
             continue
         if load == 0:
-            if idle_runs_first:
-                found = cpu
-                break
-            continue
+            found = cpu
+            break
         curr = tdq.core.current
         if curr is not None and curr.policy.priority <= pri:
             continue

@@ -178,7 +178,7 @@ def _corrupt_cfs_min_vruntime(engine):
 
 def _corrupt_cfs_vruntime_lag(engine):
     # catapult the running entity's vruntime: curr is not a timeline
-    # node, so the rbtree stays consistent and only the fairness lag
+    # entry, so the timeline stays consistent and only the fairness lag
     # bound can notice
     for core in engine.machine.cores:
         rq = _fair(engine).cpurq(core).root

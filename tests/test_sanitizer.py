@@ -351,77 +351,52 @@ def test_catches_corun_app_count_drift(sched):
 
 
 # ----------------------------------------------------------------------
-# bug injection: rbtree order corruption
+# bug injection: CFS timeline corruption
 # ----------------------------------------------------------------------
 
-def _first_populated_cfs_tree(engine):
-    for core in engine.machine.cores:
-        tree = engine.scheduler.cpurq(core).root.tree
-        if len(tree):
-            return tree
-    return None
-
-
-def _cfs_engine(flat_timeline):
-    """A sanitized one-core CFS engine on the chosen timeline backend."""
-    return Engine(single_core(),
-                  scheduler_factory("cfs", flat_timeline=flat_timeline),
-                  sanitize=True)
-
-
-def test_catches_rbtree_order_corruption():
-    engine = _cfs_engine(flat_timeline=False)
+def _catch_timeline_corruption(mutate):
+    """Run a sanitized one-core CFS churn, apply ``mutate`` to the
+    runqueue's timeline once it holds two entities, and return the
+    SanitizerError it raises."""
+    engine = Engine(single_core(), scheduler_factory("cfs"),
+                    sanitize=True)
     churn(engine, count=5)
-
+    tree = engine.scheduler.cpurq(engine.machine.cores[0]).root.tree
     state = {}
 
     def corrupt():
-        tree = _first_populated_cfs_tree(engine)
-        if tree is None:  # retry until the timeline has entries
+        if len(tree) < 2:  # retry until the timeline has two entries
             inject(engine, engine.now + usec(50), corrupt)
             return
-        # push the leftmost node's key past everyone else's: the
-        # node dict and tree structure now disagree on ordering
-        node = tree._nodes[tree.min_key()]
-        del tree._nodes[node.key]
-        node.key = (node.key[0] + sec(10), node.key[1])
-        tree._nodes[node.key] = node
+        mutate(tree)
         state["corrupted"] = True
 
     inject(engine, msec(1), corrupt)
     with pytest.raises(SanitizerError) as exc_info:
         engine.run(until=msec(20))
     assert state.get("corrupted")
-    err = exc_info.value
-    assert err.invariant in ("rbtree-order", "rbtree-leftmost",
-                             "rbtree-structure")
-    assert "cpu0" in str(err)
+    assert "cpu0" in str(exc_info.value)
+    return exc_info.value
 
 
-def test_catches_flat_timeline_order_corruption():
-    engine = _cfs_engine(flat_timeline=True)
-    churn(engine, count=5)
-
-    state = {}
-
-    def corrupt():
-        tree = _first_populated_cfs_tree(engine)
-        if tree is None or len(tree) < 2:
-            inject(engine, engine.now + usec(50), corrupt)
-            return
+def test_catches_timeline_order_corruption():
+    def mutate(tree):
         # push the leftmost key past everyone else's without moving it
         key = tree._keys[0]
         tree._keys[0] = (key[0] + sec(10), key[1])
-        state["corrupted"] = True
 
-    inject(engine, msec(1), corrupt)
-    with pytest.raises(SanitizerError) as exc_info:
-        engine.run(until=msec(20))
-    assert state.get("corrupted")
-    err = exc_info.value
-    assert err.invariant in ("rbtree-order", "rbtree-leftmost",
-                             "rbtree-structure")
-    assert "cpu0" in str(err)
+    err = _catch_timeline_corruption(mutate)
+    assert err.invariant == "cfs-timeline-order"
+
+
+def test_catches_stale_leftmost_cache():
+    """A ``leftmost_value`` that no longer names the first entity is
+    what ``pick_first`` and ``update_min_vruntime`` would read."""
+    def mutate(tree):
+        tree.leftmost_value = tree._values[1]
+
+    err = _catch_timeline_corruption(mutate)
+    assert err.invariant == "cfs-timeline-leftmost"
 
 
 # ----------------------------------------------------------------------
