@@ -5,7 +5,9 @@ The engine accepts any :class:`repro.sched.base.SchedClass`
 implementation — the same interface the paper's Table 1 describes.
 This example implements a tiny *lottery scheduler* (tickets
 proportional to nice weight, winner picked per slice) in ~80 lines,
-registers it, and compares all three schedulers on a mixed workload.
+registers it as ``"tickets"`` (the zoo already has a ``"lottery"``,
+and a registered name cannot be registered again), and compares all
+three schedulers on a mixed workload.
 
     $ python examples/custom_scheduler.py
 """
@@ -27,7 +29,7 @@ class LotteryScheduler(SchedClass):
     """Probabilistic proportional share: each slice, draw a winner
     weighted by (20 - nice) tickets."""
 
-    name = "lottery"
+    name = "tickets"
 
     def __init__(self, engine, timeslice_ns=msec(10)):
         super().__init__(engine)
@@ -92,9 +94,9 @@ def mixed_workload(engine):
 
 def main() -> None:
     register_scheduler(
-        "lottery", lambda engine, **kw: LotteryScheduler(engine, **kw))
+        "tickets", lambda engine, **kw: LotteryScheduler(engine, **kw))
 
-    for sched in ("cfs", "ule", "lottery"):
+    for sched in ("cfs", "ule", "tickets"):
         engine = Engine(smp(2), scheduler_factory(sched), seed=42)
         threads = mixed_workload(engine)
         engine.run(until=sec(10))

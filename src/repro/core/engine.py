@@ -121,8 +121,6 @@ class Engine:
         self._stopped = False
         self._stop_reason: Optional[str] = None
 
-        #: kept for :meth:`reset` (warm-worker engine reuse)
-        self._scheduler_factory = scheduler_factory
         self.scheduler = scheduler_factory(self)
         for core in self.machine.cores:
             core.rq = self.scheduler.init_core(core)
@@ -145,52 +143,6 @@ class Engine:
         if _sanitize_from_env() if sanitize is None else sanitize:
             # imported lazily: repro.analysis.__init__ imports modules
             # that import this engine module
-            from ..analysis.sanitizer import Sanitizer
-            self.sanitizer = Sanitizer(self)
-
-    # ------------------------------------------------------------------
-    # warm reuse (campaign workers)
-    # ------------------------------------------------------------------
-
-    def reset(self, seed: int = 0, faults=None) -> None:
-        """Restore construction-time state for a fresh run on the same
-        (topology, scheduler) pair — the warm-worker fast path of
-        campaign execution (docs/distributed-campaigns.md).
-
-        Everything a run mutates is rebuilt or zeroed: clock, event
-        queue (including its sequence counter, so the ``(time, seq)``
-        stream replays exactly), RNG, metrics, tracer, cores,
-        threads, scheduler state, and the fault injector.  A reset
-        engine is digest-identical to a newly constructed one
-        (``tests/test_engine_reset.py`` fuzzes reuse-vs-fresh over
-        randomized cell sequences); construction-time parameters
-        (topology, corun model, ctx-switch cost, tickless flag)
-        are deliberately retained — reuse an engine only for cells
-        that share them.
-        """
-        self.now = 0
-        self.events.clear()
-        self.events_processed = 0
-        self._nr_stopped_ticks = 0
-        self.random = RandomSource(seed)
-        self.metrics = MetricRegistry()
-        self.tracer = Tracer()
-        self.machine.nr_offline = 0
-        for core in self.machine.cores:
-            core.reset()
-        self.threads = []
-        self.live_threads = 0
-        self._stopped = False
-        self._stop_reason = None
-        self.scheduler = self._scheduler_factory(self)
-        for core in self.machine.cores:
-            core.rq = self.scheduler.init_core(core)
-        self._ticks_started = False
-        self.faults = None
-        if faults is not None and not faults.is_empty():
-            from ..faults.injector import FaultInjector
-            self.faults = FaultInjector(self, faults)
-        if self.sanitizer is not None:
             from ..analysis.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self)
 

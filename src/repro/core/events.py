@@ -172,15 +172,6 @@ class EventQueue:
             return event
         return None
 
-    def clear(self) -> None:
-        """Drop every entry and reset all counters — including the
-        sequence counter, so a reused engine replays the exact seq
-        stream a fresh one would (``Engine.reset``)."""
-        self._heap.clear()
-        self._seq = 0
-        self._live = 0
-        self._dead_in_heap = 0
-
     def _note_cancel(self, event: Event) -> None:
         """Account for a just-cancelled in-queue event (called from
         :meth:`Event.cancel` exactly once per live event)."""

@@ -96,34 +96,6 @@ class Core:
         else:
             del apps[app]
 
-    def reset(self) -> None:
-        """Restore construction-time state (``Engine.reset``).
-
-        The owning engine clears its event queue first, so pending
-        event handles here are dropped wholesale rather than
-        individually cancelled; ``rq`` is rebuilt by the engine via
-        ``scheduler.init_core`` right after.
-        """
-        self.current = None
-        self.rq = None
-        self.need_resched = False
-        self.completion_event = None
-        self.resched_event = None
-        self._resched_reuse = None
-        self.tick_event = None
-        self.tick_origin = 0
-        self.tick_stopped = False
-        self.online = True
-        self.busy_ns = 0
-        self.idle_ns = 0
-        self.nr_switches = 0
-        self.sched_overhead_ns = 0
-        self._last_account = 0
-        self.curr_started_at = 0
-        self._curr_account_start = 0
-        self._curr_speed = 1.0
-        self.apps = {}
-
     @property
     def is_idle(self) -> bool:
         return self.current is None

@@ -10,7 +10,6 @@ factor; EXPERIMENTS.md records paper-vs-measured numbers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -44,20 +43,6 @@ class ExperimentResult:
         return self.text or repr(self)
 
 
-#: warm engine pool: one reusable engine per construction signature,
-#: recycled with :meth:`Engine.reset` between cells.  Only consulted
-#: when ``REPRO_WARM_ENGINES`` is truthy — campaign worker processes
-#: turn it on (they run many same-shaped cells back to back and
-#: engine construction is a visible slice of small-cell runtime);
-#: everything else defaults to fresh construction.
-_WARM_POOL: dict = {}
-
-
-def _warm_enabled() -> bool:
-    return os.environ.get("REPRO_WARM_ENGINES", "") not in (
-        "", "0", "false", "no")
-
-
 def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
                 corun_slowdown: float = 1.0,
                 ctx_switch_cost_ns: int = 0,
@@ -75,28 +60,8 @@ def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
     injects a :class:`~repro.faults.plan.FaultPlan` (empty plans are
     digest-identical to no plan; see docs/fault-injection.md).
 
-    With ``REPRO_WARM_ENGINES`` set (campaign workers export it), an
-    engine with the same construction signature is reused via
-    :meth:`Engine.reset` instead of rebuilt — digest-identical to a
-    fresh engine (see ``tests/test_engine_reset.py``).  ``seed`` and
-    ``faults`` are per-run reset arguments, not part of the
-    signature.  Reuse assumes drivers run same-signature engines
-    sequentially within a process, which is how every driver and the
-    cell executors behave.
+    Every call builds a new engine.
     """
-    key = None
-    if _warm_enabled():
-        try:
-            key = (sched, ncpus, corun_slowdown, ctx_switch_cost_ns,
-                   tickless, sanitize,
-                   tuple(sorted(sched_options.items())))
-            engine = _WARM_POOL.get(key)
-        except TypeError:
-            key = None  # unhashable sched_option value: don't pool
-            engine = None
-        if engine is not None:
-            engine.reset(seed=seed, faults=faults)
-            return engine
     if ncpus == 1:
         topo = single_core()
     elif ncpus == 32:
@@ -104,13 +69,10 @@ def make_engine(sched: str, ncpus: int = 1, seed: int = 1,
     else:
         from ..core.topology import smp
         topo = smp(ncpus)
-    engine = Engine(topo, scheduler_factory(sched, **sched_options),
-                    seed=seed, corun_slowdown=corun_slowdown,
-                    ctx_switch_cost_ns=ctx_switch_cost_ns,
-                    tickless=tickless, sanitize=sanitize, faults=faults)
-    if key is not None:
-        _WARM_POOL[key] = engine
-    return engine
+    return Engine(topo, scheduler_factory(sched, **sched_options),
+                  seed=seed, corun_slowdown=corun_slowdown,
+                  ctx_switch_cost_ns=ctx_switch_cost_ns,
+                  tickless=tickless, sanitize=sanitize, faults=faults)
 
 
 def run_workload(engine: Engine, workload, timeout_ns: int,

@@ -39,15 +39,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _warm_worker() -> None:
-    """Pool initializer: enable warm-engine reuse in the worker (see
-    :func:`repro.experiments.base.make_engine`) — a pool worker runs
-    many same-shaped cells, exactly the case engine recycling pays
-    for.  ``setdefault`` keeps an explicit parent
-    ``REPRO_WARM_ENGINES=0`` in force."""
-    os.environ.setdefault("REPRO_WARM_ENGINES", "1")
-
-
 def _call(payload):
     """Pool trampoline: unpack ``(fn, cell)`` and apply."""
     fn, cell = payload
@@ -71,8 +62,7 @@ def cell_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     if jobs is None or jobs <= 1 or len(cells) <= 1:
         return [fn(cell) for cell in cells]
     nproc = min(jobs, len(cells))
-    with multiprocessing.Pool(processes=nproc,
-                              initializer=_warm_worker) as pool:
+    with multiprocessing.Pool(processes=nproc) as pool:
         return pool.map(_call, [(fn, cell) for cell in cells],
                         chunksize=1)
 

@@ -214,11 +214,6 @@ def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
                  fingerprint, max_crashes, parent_pid,
                  claim_k) -> None:
     """Worker process entry point: open the shared store and drain."""
-    # warm-engine reuse: a worker runs many cells, and campaign cells
-    # repeat (topology, scheduler) configurations — let make_engine
-    # recycle engines via Engine.reset() unless the parent explicitly
-    # exported REPRO_WARM_ENGINES=0
-    os.environ.setdefault("REPRO_WARM_ENGINES", "1")
     with ShardStore(store_dir, fingerprint=fingerprint,
                     max_crashes=max_crashes) as store:
         _drain(store, fn, owner=_owner(os.getpid()),

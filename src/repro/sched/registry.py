@@ -14,38 +14,26 @@ cells — see docs/scheduler-zoo.md.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Callable, Dict
 
 from ..core.errors import SchedulerError
 
 _FACTORIES: Dict[str, Callable] = {}
 
-#: environment switch turning re-registration warnings into errors
-STRICT_ENV = "REPRO_SCHED_STRICT"
 
-
-def register_scheduler(name: str, factory: Callable, *,
-                       strict: bool | None = None) -> None:
+def register_scheduler(name: str, factory: Callable) -> None:
     """Register ``factory(engine, **options) -> SchedClass`` under
     ``name``.
 
-    Re-registering an existing name replaces the factory but is almost
-    always an accident (two zoo modules colliding, a test leaking a
-    stub into the process-wide registry), so it emits a
-    ``RuntimeWarning`` — and raises :class:`SchedulerError` when
-    ``strict=True`` or the ``REPRO_SCHED_STRICT`` environment variable
-    is set.  Intentional replacement: ``unregister_scheduler`` first.
+    Re-registering an existing name is almost always an accident (two
+    zoo modules colliding, a test leaking a stub into the process-wide
+    registry), so it raises :class:`SchedulerError` and keeps the
+    registered factory.  Intentional replacement:
+    ``unregister_scheduler`` first.
     """
     if name in _FACTORIES:
-        if strict is None:
-            strict = bool(os.environ.get(STRICT_ENV))
-        message = (f"scheduler {name!r} is already registered; "
-                   f"re-registration replaces the existing factory")
-        if strict:
-            raise SchedulerError(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        raise SchedulerError(f"scheduler {name!r} is already registered; "
+                             f"unregister it first to replace it")
     _FACTORIES[name] = factory
 
 

@@ -278,3 +278,11 @@ def test_profile_reports_self_time_per_module():
     _, again = _profiled_cfs_run()
     assert (sorted((row[0], row[1]) for row in again)
             == sorted((row[0], row[1]) for row in rows))
+
+
+def test_make_engine_returns_new_engine_per_call():
+    from repro.experiments import base
+
+    a = base.make_engine("cfs", ncpus=2, seed=1)
+    b = base.make_engine("cfs", ncpus=2, seed=1)
+    assert a is not b

@@ -36,7 +36,7 @@ def test_quickstart():
 
 def test_custom_scheduler():
     out = run_example("custom_scheduler.py")
-    for sched in ("cfs", "ule", "lottery"):
+    for sched in ("cfs", "ule", "tickets"):
         assert sched in out
 
 

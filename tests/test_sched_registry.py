@@ -1,11 +1,11 @@
-"""Registry regressions: re-registration is loud, unknown names list
+"""Registry regressions: re-registration raises, unknown names list
 the zoo, and cleanup helpers work.
 
 ``register_scheduler`` used to overwrite silently — a zoo module
 colliding with a builtin (or a test leaking a stub) would swap the
 implementation behind every ``scheduler_factory`` call in the process
-with no trace.  Now it warns, and raises under ``strict=True`` or the
-``REPRO_SCHED_STRICT`` environment variable.
+with no trace.  Now it raises and keeps the registered factory;
+``unregister_scheduler`` is the one way to replace it.
 """
 
 import warnings
@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.errors import SchedulerError
 from repro.sched import available_schedulers, scheduler_factory
-from repro.sched.registry import (STRICT_ENV, register_scheduler,
-                                  unregister_scheduler)
+from repro.sched.registry import register_scheduler, unregister_scheduler
 
 ZOO = ("eevdf", "bfs", "lottery", "staticprio", "predictive")
 
@@ -40,31 +39,14 @@ def test_first_registration_is_silent(scratch_name):
     assert scratch_name in available_schedulers()
 
 
-def test_reregistration_warns_and_replaces(scratch_name):
+def test_reregistration_raises_and_keeps(scratch_name):
     register_scheduler(scratch_name, _stub)
     replacement = lambda engine, **kw: None
-    with pytest.warns(RuntimeWarning, match="already registered"):
+    with pytest.raises(SchedulerError, match="already registered"):
         register_scheduler(scratch_name, replacement)
-    # the factory *was* replaced (warn-and-replace, not warn-and-drop)
+    # the registered factory stays (raise-and-keep, not replace)
     from repro.sched import registry
-    assert registry._FACTORIES[scratch_name] is replacement
-
-
-def test_reregistration_raises_under_strict_flag(scratch_name):
-    register_scheduler(scratch_name, _stub)
-    with pytest.raises(SchedulerError, match="already registered"):
-        register_scheduler(scratch_name, _stub, strict=True)
-
-
-def test_reregistration_raises_under_strict_env(scratch_name,
-                                                monkeypatch):
-    register_scheduler(scratch_name, _stub)
-    monkeypatch.setenv(STRICT_ENV, "1")
-    with pytest.raises(SchedulerError, match="already registered"):
-        register_scheduler(scratch_name, _stub)
-    # strict=False overrides the environment explicitly
-    with pytest.warns(RuntimeWarning):
-        register_scheduler(scratch_name, _stub, strict=False)
+    assert registry._FACTORIES[scratch_name] is _stub
 
 
 def test_unregister_then_register_is_silent(scratch_name):

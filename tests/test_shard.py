@@ -422,6 +422,35 @@ def test_chaos_capstone_supervisor_and_worker_sigkills(tmp_path):
 # ------------------------------------------------------------ campaign
 
 
+def _two_engines(cell):
+    """Build two same-shaped engines in one cell, run a short cell on
+    the first, and report what the second saw."""
+    from repro.core import ThreadSpec, run_forever
+    from repro.core.clock import msec
+    from repro.experiments.base import make_engine
+
+    first = make_engine("cfs", ncpus=2)
+    second = make_engine("cfs", ncpus=2)
+
+    def spin(ctx):
+        yield run_forever()
+    first.spawn(ThreadSpec("spin", spin))
+    first.run(until=msec(5))
+    return {"distinct": first is not second, "first_now": first.now,
+            "now": second.now, "events": second.events_processed}
+
+
+def test_worker_engines_never_alias(tmp_path):
+    """A shard worker builds engines the way a serial run does: two
+    ``make_engine`` calls with one signature give two engines, and a
+    run on one leaves the other untouched."""
+    cells = [{"i": i} for i in range(2)]
+    results = shard_map(_two_engines, cells, 2,
+                        store_dir=tmp_path / "store")
+    assert results == [{"distinct": True, "first_now": 5_000_000,
+                        "now": 0, "events": 0}] * 2
+
+
 def _fake_campaign_cell(cell):
     return {"experiment": cell["experiment"], "claim": "ok",
             "text": f"rows for {cell['experiment']}\n"}
