@@ -110,52 +110,60 @@ def build_domains(cpu: int, topology: "Topology",
 
 def _make_blueprint(topology: "Topology",
                     tunables: "CfsTunables") -> DomainBlueprint:
-    """Walk every CPU's chain once, numbering each distinct group."""
-    singletons = [frozenset({c}) for c in range(topology.ncpus)]
+    """Build every CPU's chain, numbering each distinct group in the
+    order the CPU-major walk first meets it.
+
+    A domain's groups are the child partition (the level below, or
+    single CPUs) inside its span.  Levels nest, so each child group
+    lies in exactly one span: grouping the child partition by span once
+    per level makes the whole build O(cpus x levels)."""
+    ncpus = topology.ncpus
+    has_numa = topology.has_level("numa")
+    singletons = [frozenset({c}) for c in range(ncpus)]
+    # per level: span -> its balancing groups, and cpu -> the child
+    # group holding it (its domain's local group)
+    levels = []
+    partition = child_of = singletons
+    for level in topology.levels:
+        by_span: dict = {}
+        for group in partition:
+            span = topology.group_of(level.name, min(group))
+            by_span.setdefault(span, []).append(group)
+        levels.append((level, {span: tuple(sorted(groups, key=min))
+                               for span, groups in by_span.items()},
+                       child_of))
+        partition = level.groups
+        child_of = [topology.group_of(level.name, c) for c in range(ncpus)]
     index: dict[frozenset[int], int] = {}
+    span_ids: dict = {}
     rows = []
-    for cpu in range(topology.ncpus):
+    for cpu in range(ncpus):
         chain = []
-        for row in _domain_rows(cpu, topology, tunables, singletons):
-            groups = row[3]
-            ids = tuple(index.setdefault(g, len(index)) for g in groups)
-            local_id = next(gid for gid, g in zip(ids, groups) if cpu in g)
-            chain.append(row + (ids, local_id))
+        prev_span: frozenset[int] = singletons[cpu]
+        level_idx = 0
+        for level, groups_of, child_of in levels:
+            span = topology.group_of(level.name, cpu)
+            if span == prev_span:
+                # Degenerate (e.g. LLC == NUMA node): skip.
+                continue
+            groups = groups_of[span]
+            ids = span_ids.get((level.name, span))
+            if ids is None:
+                ids = span_ids[level.name, span] = tuple(
+                    index.setdefault(g, len(index)) for g in groups)
+            crosses_numa = (has_numa and not
+                            span <= topology.group_of("numa", cpu))
+            pct = (tunables.imbalance_pct_numa if crosses_numa
+                   else tunables.imbalance_pct_llc)
+            chain.append((cpu, level.name, span, groups,
+                          tunables.balance_interval_ns * (2 ** level_idx),
+                          pct, ids, index[child_of[cpu]]))
+            prev_span = span
+            level_idx += 1
         rows.append(tuple(chain))
-    cpu_groups: list[list[int]] = [[] for _ in range(topology.ncpus)]
+    cpu_groups: list[list[int]] = [[] for _ in range(ncpus)]
     for gid, group in enumerate(index):
         for cpu in group:
             cpu_groups[cpu].append(gid)
     return DomainBlueprint(tuple(rows), tuple(index),
                            tuple(map(tuple, cpu_groups)))
-
-
-def _domain_rows(cpu: int, topology: "Topology", tunables: "CfsTunables",
-                 singletons: list[frozenset[int]]) -> list[tuple]:
-    """The uncached walk behind :func:`domain_blueprint`: one CPU's
-    chain as ``SchedDomain`` constructor rows without the group ids.
-    ``singletons`` is the finest partition, shared by every CPU's walk
-    so that equal groups are the same object."""
-    rows: list[tuple] = []
-    child_partition = singletons
-    prev_span: frozenset[int] = frozenset({cpu})
-    level_idx = 0
-    for level in topology.levels:
-        span = topology.group_of(level.name, cpu)
-        if span == prev_span:
-            # Degenerate (e.g. LLC == NUMA node): skip, but remember
-            # this level as the partition for the next one up.
-            child_partition = list(level.groups)
-            continue
-        groups = tuple(sorted((g for g in child_partition if g <= span),
-                              key=min))
-        crosses_numa = (topology.has_level("numa")
-                        and not span <= topology.node_of(cpu))
-        pct = (tunables.imbalance_pct_numa if crosses_numa
-               else tunables.imbalance_pct_llc)
-        rows.append((cpu, level.name, span, groups,
-                     tunables.balance_interval_ns * (2 ** level_idx), pct))
-        prev_span = span
-        child_partition = list(level.groups)
-        level_idx += 1
-    return rows

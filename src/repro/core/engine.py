@@ -862,17 +862,29 @@ class Engine:
         if curr is not None:
             self._update_curr(core)
             scheduler.task_tick(core)
-            # Re-arm the run-completion timer.  Below unit speed,
-            # _update_curr truncates progress (int(delta * speed)), so
-            # the deadline can move.  At speed 1.0 it cannot; the
-            # repost only renews the event's sequence number, which
-            # orders same-instant events (and so is pinned by the
-            # schedule digests).
+            # Re-arm the run-completion timer only when this re-arm can
+            # move it or be its last.  Below unit speed _update_curr
+            # truncates progress (int(delta * speed)), a fault plan can
+            # move the next tick, and an overhead charge arms from the
+            # last accounting point, so the re-arm can move the
+            # deadline.  Otherwise it only renews the event's sequence
+            # number, which orders same-instant events (the digests pin
+            # it): a deadline past the next tick is reposted by that
+            # tick (or an earlier dispatch, charge or migration) before
+            # it fires, so its last post keeps its place.  ``<=``: the
+            # next tick was reposted just above, and a completion at
+            # that instant must stay behind it.
             if core.need_resched:
                 self._dispatch(core)
-            elif core.completion_event is not None:
-                self._cancel_completion(core)
-                self._arm_completion(core)
+            else:
+                completion = core.completion_event
+                if completion is not None and (
+                        completion.time <= next_tick
+                        or completion.time != self.now + curr.run_remaining
+                        or core._curr_speed != 1.0
+                        or self.faults is not None):
+                    self._cancel_completion(core)
+                    self._arm_completion(core)
         else:
             scheduler.idle_tick(core)
             if core.need_resched:

@@ -93,6 +93,20 @@ class TimeSeries:
     def __iter__(self):
         return iter(zip(self.times, self.values))
 
+    def as_data(self) -> dict:
+        """The observations as plain JSON data (:meth:`from_data`
+        rebuilds the series)."""
+        return {"times": list(self.times), "values": list(self.values)}
+
+    @classmethod
+    def from_data(cls, name: str, data: dict) -> "TimeSeries":
+        """The series named ``name`` holding :meth:`as_data`'s
+        observations."""
+        series = cls(name)
+        series.times = list(data["times"])
+        series.values = list(data["values"])
+        return series
+
     def last(self) -> Optional[tuple[int, float]]:
         """The most recent ``(time, value)``, or None when empty."""
         if not self.times:

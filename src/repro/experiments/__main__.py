@@ -64,7 +64,9 @@ def _cmd_run(args) -> int:
     # stderr: the stdout report must stay byte-identical whether
     # cells were computed or served from the store
     print(f"cell cache: {stats['served']} hit(s), "
-          f"{len(cells) - stats['served']} executed", file=sys.stderr)
+          f"{len(cells) - stats['served']} executed; shared runs: "
+          f"{stats['runs_served']} served, {stats['runs_computed']} "
+          f"computed", file=sys.stderr)
     if table is not None:
         print("per-module profile (all cells; see "
               "docs/performance.md):", file=sys.stderr)

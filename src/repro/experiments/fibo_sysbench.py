@@ -1,10 +1,13 @@
 """The shared §5.1 scenario: fibo (CPU hog) + sysbench (80 mostly-
 sleeping threads) on a single core.
 
-Drives Table 2, Fig. 1 (cumulative runtimes) and Fig. 2 (interactivity
-penalties).  Time is scaled 1/10 from the paper: fibo carries 16 s of
-work (paper: ~160 s), runs alone for 0.7 s (paper: 7 s), then sysbench
-starts with a fixed global transaction budget.
+Drives Table 2, Fig. 1 (cumulative runtimes), Fig. 2 (interactivity
+penalties) and the seed-sensitivity study.  Table 2, Fig. 1 and the
+sensitivity study read the same run, as its :func:`scenario_record`,
+so a campaign computes it once per scheduler and seed.  Time is
+scaled 1/10 from the paper: fibo carries 16 s of work (paper:
+~160 s), runs alone for 0.7 s (paper: 7 s), then sysbench starts with
+a fixed global transaction budget.
 
 Expected shape (paper):
 
@@ -27,6 +30,7 @@ from ..tracing.samplers import (sample_cumulative_runtime,
                                 sample_ule_penalty)
 from ..workloads import FiboWorkload, SysbenchWorkload
 from .base import make_engine
+from .store import shared_run
 
 #: scale w.r.t. the paper (all durations divided by this)
 TIME_SCALE = 10
@@ -97,3 +101,25 @@ def run_scenario(sched: str, seed: int = 1,
                stop_when=lambda e: fibo.done(e) and sysb.done(e),
                check_interval=64)
     return ScenarioOutcome(sched, engine, fibo, sysb)
+
+
+def scenario_record(sched: str, seed: int = 1) -> dict:
+    """The fibo+sysbench run under ``sched`` as plain JSON data: the
+    numbers and cumulative-runtime series that Table 2, Fig. 1 and the
+    sensitivity study render, and whether the run drew a random
+    number.  Computed once per campaign (see
+    :func:`~repro.experiments.store.shared_run`)."""
+    def compute() -> dict:
+        out = run_scenario(sched, seed=seed)
+        metrics = out.engine.metrics
+        return {
+            "fibo_runtime_s": out.fibo_runtime_s,
+            "fibo_completion_s": out.fibo_completion_s,
+            "sysbench_tps": out.sysbench_tps,
+            "sysbench_latency_ms": out.sysbench_latency_ms,
+            "drew": out.engine.random.drew(),
+            "series": {app: metrics.series(f"runtime.{app}").as_data()
+                       for app in ("fibo", "sysbench")},
+        }
+    return shared_run({"run": "fibo_sysbench", "sched": sched,
+                       "seed": seed}, compute)

@@ -9,10 +9,11 @@ sysbench finishes.
 
 from __future__ import annotations
 
-from ..core.clock import sec, to_sec
+from ..core.clock import to_sec
+from ..core.metrics import TimeSeries
 from ..tracing.export import ascii_chart
 from .base import ExperimentResult
-from .fibo_sysbench import SYSBENCH_START_NS, run_scenario
+from .fibo_sysbench import scenario_record
 
 CLAIM = ("fibo shares the core under CFS but is fully starved under "
          "ULE while sysbench runs")
@@ -39,9 +40,10 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
     result = ExperimentResult("fig1", CLAIM)
     charts = []
     for sched in ("cfs", "ule"):
-        out = run_scenario(sched, seed=seed)
-        fibo_series = out.engine.metrics.series("runtime.fibo")
-        sysb_series = out.engine.metrics.series("runtime.sysbench")
+        series = scenario_record(sched, seed=seed)["series"]
+        fibo_series = TimeSeries.from_data("runtime.fibo", series["fibo"])
+        sysb_series = TimeSeries.from_data("runtime.sysbench",
+                                           series["sysbench"])
         stall = _flat_interval(fibo_series)
         result.row(sched=sched,
                    fibo_final_s=round(to_sec(fibo_series.values[-1]), 2),

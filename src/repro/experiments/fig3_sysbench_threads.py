@@ -12,11 +12,13 @@ it can, avoiding over-subscription.
 
 from __future__ import annotations
 
-from ..core.clock import msec, sec, to_sec
+from ..core.clock import msec, sec
+from ..core.metrics import TimeSeries
 from ..tracing.export import ascii_chart
 from ..tracing.samplers import PeriodicSampler
 from ..workloads import SysbenchWorkload
 from .base import ExperimentResult, make_engine
+from .store import shared_run
 
 CLAIM = ("~80 of 128 sysbench threads (the early-forked, interactive "
          "ones) run; the late-forked batch threads starve; throughput "
@@ -56,25 +58,45 @@ def run_single_app(sched: str, seed: int = 1):
     return engine, sysb
 
 
+def single_app_record(sched: str, seed: int = 1) -> dict:
+    """:func:`run_single_app` under ``sched`` as plain JSON data: the
+    worker counts, throughput, latency and Fig. 3 curves that Fig. 3
+    and the sensitivity study render, and whether the run drew a
+    random number.  Computed once per campaign (see
+    :func:`~repro.experiments.store.shared_run`)."""
+    def compute() -> dict:
+        engine, sysb = run_single_app(sched, seed=seed)
+        metrics = engine.metrics
+        return {
+            "workers": len(sysb.workers),
+            "executed": sum(1 for w in sysb.workers
+                            if w.total_runtime > 0),
+            "starved": len(sysb.starved_workers(engine)),
+            "tps": sysb.throughput(engine),
+            "latency_ms": sysb.mean_latency_ns(engine) / 1e6,
+            "drew": engine.random.drew(),
+            "series": {name: metrics.series(f"fig3.{name}").as_data()
+                       for name in ("interactive", "background")},
+        }
+    return shared_run({"run": "fig3_single_app", "sched": sched,
+                       "seed": seed}, compute)
+
+
 def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
     """Run this experiment and return its result (see module doc)."""
     result = ExperimentResult("fig3", CLAIM)
-    outcomes = {}
+    records = {}
     for sched in ("ule", "cfs"):
-        engine, sysb = run_single_app(sched, seed=seed)
-        ran = [w for w in sysb.workers if w.total_runtime > 0]
-        starved = sysb.starved_workers(engine)
-        tps = sysb.throughput(engine)
-        lat = sysb.mean_latency_ns(engine) / 1e6
-        outcomes[sched] = (engine, sysb)
-        result.row(sched=sched, workers=len(sysb.workers),
-                   executed=len(ran), starved=len(starved),
-                   tps=round(tps, 1), latency_ms=round(lat, 2))
-        result.data[f"{sched}_starved"] = len(starved)
-        result.data[f"{sched}_tps"] = tps
-        result.data[f"{sched}_latency_ms"] = lat
+        rec = records[sched] = single_app_record(sched, seed=seed)
+        result.row(sched=sched, workers=rec["workers"],
+                   executed=rec["executed"], starved=rec["starved"],
+                   tps=round(rec["tps"], 1),
+                   latency_ms=round(rec["latency_ms"], 2))
+        result.data[f"{sched}_starved"] = rec["starved"]
+        result.data[f"{sched}_tps"] = rec["tps"]
+        result.data[f"{sched}_latency_ms"] = rec["latency_ms"]
 
-    engine, sysb = outcomes["ule"]
+    series = records["ule"]["series"]
     # classification detail for the text report
     ule_rows = result.rows[0]
     lines = [
@@ -90,10 +112,12 @@ def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
         "  (paper: ULE beats CFS here by avoiding over-subscription)",
     ]
     charts = [
-        ascii_chart(engine.metrics.series("fig3.interactive"),
+        ascii_chart(TimeSeries.from_data("fig3.interactive",
+                                         series["interactive"]),
                     title="Fig. 3 (ULE): mean cumulative runtime, "
                           "early-forked workers (ns)"),
-        ascii_chart(engine.metrics.series("fig3.background"),
+        ascii_chart(TimeSeries.from_data("fig3.background",
+                                         series["background"]),
                     title="Fig. 3 (ULE): mean cumulative runtime, "
                           "late-forked workers (ns) - flat = starved"),
     ]

@@ -13,7 +13,8 @@ seed, not just a lucky one:
 
 A row whose runs draw no random number is the same for every seed, so
 it runs once (:func:`per_seed`); today that holds for every row but
-ULE's time-to-balance.
+ULE's time-to-balance.  The table2 and fig3 rows read the runs Table 2,
+Fig. 1 and Fig. 3 read, as records a campaign computes once.
 """
 
 from __future__ import annotations
@@ -49,17 +50,17 @@ def per_seed(measure, seeds) -> list:
 
 
 def _tps_ratio(seed: int):
-    from .fibo_sysbench import run_scenario
-    cfs = run_scenario("cfs", seed=seed)
-    ule = run_scenario("ule", seed=seed)
-    return (ule.sysbench_tps / cfs.sysbench_tps,
-            cfs.engine.random.drew() or ule.engine.random.drew())
+    from .fibo_sysbench import scenario_record
+    cfs = scenario_record("cfs", seed=seed)
+    ule = scenario_record("ule", seed=seed)
+    return (ule["sysbench_tps"] / cfs["sysbench_tps"],
+            cfs["drew"] or ule["drew"])
 
 
 def _starved(seed: int):
-    from . import fig3_sysbench_threads
-    engine, sysb = fig3_sysbench_threads.run_single_app("ule", seed=seed)
-    return len(sysb.starved_workers(engine)), engine.random.drew()
+    from .fig3_sysbench_threads import single_app_record
+    record = single_app_record("ule", seed=seed)
+    return record["starved"], record["drew"]
 
 
 def _ule_converge(seed: int):

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .parallel import default_jobs
-from .store import DEFAULT_CLAIM_BATCH, DEFAULT_MAX_CRASHES, ShardStore
+from .store import (DEFAULT_CLAIM_BATCH, DEFAULT_MAX_CRASHES, ShardStore,
+                    serving_runs)
 
 #: default lease duration; workers heartbeat at a third of this, so a
 #: healthy worker is three missed beats away from losing a cell
@@ -154,10 +155,12 @@ class _Heartbeat:
 
 def _drain(store: ShardStore, fn: Callable, owner: str, *,
            lease_s: float, retries: int, backoff_s: float,
-           claim_k: int, poll_s: float = DEFAULT_POLL_S,
+           claim_k: int, serve: bool, poll_s: float = DEFAULT_POLL_S,
            parent_pid: Optional[int] = None) -> None:
     """The claim/execute/complete loop shared by worker processes and
-    the supervisor's in-process drain.  Claims up to
+    the supervisor's in-process drain.  Each cell runs with ``store``
+    handed to :func:`~repro.experiments.store.shared_run` (with
+    ``serve``), so its shared runs are computed once.  Claims up to
     ``claim_k`` cells per store write transaction
     (:meth:`ShardStore.claim_batch`) and renews the whole batch with
     one heartbeat thread, so per-cell store traffic is one fused
@@ -196,7 +199,8 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
                 next_key = (batch[pos + 1][0]
                             if pos + 1 < len(batch) else None)
                 try:
-                    result = fn(cell)
+                    with serving_runs(store if serve else None):
+                        result = fn(cell)
                 except Exception as exc:
                     store.fail_attempt(
                         key, f"{type(exc).__name__}: {exc}",
@@ -212,13 +216,13 @@ def _drain(store: ShardStore, fn: Callable, owner: str, *,
 
 def _worker_main(store_dir, fn, *, lease_s, retries, backoff_s,
                  fingerprint, max_crashes, parent_pid,
-                 claim_k) -> None:
+                 claim_k, serve) -> None:
     """Worker process entry point: open the shared store and drain."""
     with ShardStore(store_dir, fingerprint=fingerprint,
                     max_crashes=max_crashes) as store:
         _drain(store, fn, owner=_owner(os.getpid()),
                lease_s=lease_s, retries=retries, backoff_s=backoff_s,
-               parent_pid=parent_pid, claim_k=claim_k)
+               parent_pid=parent_pid, claim_k=claim_k, serve=serve)
 
 
 def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
@@ -248,8 +252,11 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     No more workers are spawned than there are cells to run.
 
     A cell whose ``done`` row is already in the store is served from
-    it (with ``serve``) and never executed; ``stats["served"]``, when
-    given, receives the number of cells served.  ``timeout_s`` bounds
+    it (with ``serve``) and never executed, and so is a shared run
+    (:func:`~repro.experiments.store.shared_run`) another cell already
+    computed.  ``stats``, when given, receives the number of cells
+    served (``"served"``) and of shared runs served and computed
+    (``"runs_served"``, ``"runs_computed"``).  ``timeout_s`` bounds
     one cell's run: the supervisor kills the worker running it past
     that and records a timeout attempt, retried like an error.
 
@@ -281,7 +288,7 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
                    respawn_budget=respawn_budget,
                    poll_s=poll_s,
                    claim_k=DEFAULT_CLAIM_BATCH if cost is None else 1,
-                   chaos=chaos, store_dir=store_dir)
+                   chaos=chaos, store_dir=store_dir, serve=serve)
         failures = store.failures()
         results = []
         for cell, key in zip(cells, keys):
@@ -299,6 +306,9 @@ def shard_map(fn: Callable[[Any], Any], cells: Iterable[Any],
                 value = fn(cell)
                 store.complete(key, value)
             results.append(value)
+        if stats is not None:
+            stats["runs_served"], stats["runs_computed"] = \
+                store.run_counts()
     finally:
         store.close()
     return results
@@ -333,7 +343,7 @@ def _kill_wedged(store: ShardStore, procs: list, seen: dict,
 def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                timeout_s, retries, backoff_s, max_crashes,
                respawn_budget, poll_s, claim_k, chaos,
-               store_dir) -> None:
+               store_dir, serve) -> None:
     """Run the pool until every cell is terminal: spawn workers (none
     for one worker without ``timeout_s``: the supervisor drains
     in-process), reap/respawn the dead, kill workers wedged past
@@ -346,7 +356,7 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
     worker_kwargs = dict(
         lease_s=lease_s, retries=retries, backoff_s=backoff_s,
         fingerprint=store.fingerprint, max_crashes=max_crashes,
-        parent_pid=os.getpid(), claim_k=claim_k)
+        parent_pid=os.getpid(), claim_k=claim_k, serve=serve)
     drainer = f"supervisor-{os.getpid()}"
 
     def spawn(count: int) -> list:
@@ -411,7 +421,7 @@ def _supervise(store: ShardStore, fn, workers: int, *, lease_s,
                 _drain(store, fn, drainer,
                        lease_s=max(lease_s, 60.0), retries=retries,
                        backoff_s=backoff_s, poll_s=poll_s,
-                       claim_k=claim_k)
+                       claim_k=claim_k, serve=serve)
                 store.reap()
                 continue
             time.sleep(poll_s)

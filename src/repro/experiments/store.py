@@ -6,7 +6,7 @@ module keeps finished cells in one sqlite database
 (``<store_dir>/cells.sqlite3``) as ``done`` rows keyed by
 :func:`cache_key`: the sha256 of the cell's canonical JSON and the
 :func:`code_fingerprint` of ``src/repro``.  Each row carries its
-result and that result's :func:`result_sha`.  The one row is three
+result and that result's :func:`result_sha`.  The one row is four
 things at once:
 
 * **The cell cache.**  A row is served whenever its key matches, so
@@ -19,6 +19,13 @@ things at once:
   finishes, by the process that ran it, so an interrupted campaign
   resumes by running it again.  Only successes are ``done``: a failed
   cell is retried by the next run.
+* **The run cache.**  A simulation that several cells read (the
+  fibo+sysbench pair behind Table 2, Fig. 1 and the sensitivity
+  study, say) is a ``done`` row of its own, keyed by its run cell
+  (``{"run": ..., "sched": ..., "seed": ...}``): the first cell to
+  need it computes it and later cells are served it
+  (:func:`shared_run`).  A run row is written finished, never
+  enqueued, so no worker ever claims it as a cell.
 * **The work queue.**  The campaign executor
   (:mod:`~repro.experiments.shard`) leases ``pending`` rows to worker
   *processes*, which coordinate through the database rather than
@@ -71,6 +78,7 @@ import os
 import sqlite3
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
@@ -363,6 +371,8 @@ class ShardStore:
         todo = {key: cell for key, cell in zip(keys, cells)
                 if key not in served}
         self.prune_except(todo)
+        self._conn.execute("DELETE FROM meta WHERE k IN "
+                           "('runs_served', 'runs_computed')")
         queue = todo.items()
         if cost is not None:
             queue = sorted(queue, key=lambda item: -cost(item[1]))
@@ -645,11 +655,13 @@ class ShardStore:
             "SELECT key FROM cells WHERE state = 'done'")
         return [key for (key,) in cur.fetchall()]
 
-    def get_result(self, key: str) -> tuple:
+    def get_result(self, key: str, *, requeue: bool = True) -> tuple:
         """``(True, result)`` for a verified ``done`` row, else
         ``(False, None)``.  A row that fails verification (bit flip,
-        torn write) is discarded back to ``pending`` with one warning
-        — corrupt data is recomputed, never served."""
+        torn write) is discarded with one warning — back to
+        ``pending``, or deleted without ``requeue`` (a run row, which
+        no worker may claim) — so corrupt data is recomputed, never
+        served."""
         row = self._conn.execute(
             "SELECT result, result_sha FROM cells "
             "WHERE key = ? AND state = 'done'", (key,)).fetchone()
@@ -666,12 +678,44 @@ class ShardStore:
                 "result store: discarded a corrupt result row "
                 "(unparsable or hash mismatch); recomputing",
                 RuntimeWarning, stacklevel=2)
-            self._conn.execute(
-                "UPDATE cells SET state = 'pending', result = NULL, "
-                "result_sha = NULL, owner = NULL WHERE key = ?",
-                (key,))
+            if requeue:
+                self._conn.execute(
+                    "UPDATE cells SET state = 'pending', result = NULL, "
+                    "result_sha = NULL, owner = NULL WHERE key = ?",
+                    (key,))
+            else:
+                self._conn.execute("DELETE FROM cells WHERE key = ?",
+                                   (key,))
             return False, None
         return True, value
+
+    def put_done(self, key: str, cell: Any, result: Any) -> None:
+        """Write ``cell``'s finished row outright, with no queue life
+        before it (a shared run's record; see :func:`shared_run`).
+        Last write wins, as for :meth:`complete`."""
+        self._conn.execute(
+            "INSERT OR REPLACE INTO cells "
+            "(key, cell, state, result, result_sha) "
+            "VALUES (?, ?, 'done', ?, ?)",
+            (key, canonical_json(cell), canonical_json(result),
+             result_sha(result)))
+
+    def count_run(self, outcome: str) -> None:
+        """Count one shared-run lookup (``served`` or ``computed``)
+        for :meth:`run_counts`."""
+        self._conn.execute(
+            "INSERT INTO meta (k, v) VALUES (?, '1') ON CONFLICT (k) "
+            "DO UPDATE SET v = CAST(v AS INTEGER) + 1",
+            (f"runs_{outcome}",))
+
+    def run_counts(self) -> tuple:
+        """``(served, computed)`` shared-run lookups since the sweep
+        began (:meth:`open_sweep` resets both)."""
+        counts = dict(self._conn.execute(
+            "SELECT k, v FROM meta WHERE k IN "
+            "('runs_served', 'runs_computed')").fetchall())
+        return (int(counts.get("runs_served", 0)),
+                int(counts.get("runs_computed", 0)))
 
     def counts(self) -> dict:
         """Row count per state (absent states omitted)."""
@@ -716,3 +760,48 @@ class ShardStore:
         return {key: (reason or "error", attempts, crashes)
                 for key, reason, attempts, crashes in cur.fetchall()}
 
+
+# ---------------------------------------------------------------- shared runs
+
+#: the store of the campaign cell running in this process, while the
+#: shard executor runs it with serving on; ``None`` otherwise.  A slot
+#: rather than a parameter: drivers are ``run(quick, seed)`` and reach
+#: their runs through helpers that know nothing of campaigns
+_RUN_STORE: Optional[ShardStore] = None
+
+
+@contextmanager
+def serving_runs(store: Optional[ShardStore]):
+    """Hand ``store`` to :func:`shared_run` for the duration (the
+    shard executor wraps each campaign cell in this)."""
+    global _RUN_STORE
+    outer, _RUN_STORE = _RUN_STORE, store
+    try:
+        yield
+    finally:
+        _RUN_STORE = outer
+
+
+def shared_run(run: dict, compute: Callable[[], Any]) -> Any:
+    """The record of the simulation ``run`` names, e.g.
+    ``{"run": "fibo_sysbench", "sched": "cfs", "seed": 1}``, computed
+    once per campaign.  ``compute()`` builds the record as plain JSON
+    data.
+
+    Inside a serving campaign cell the record is a ``done`` row of the
+    cell's store, keyed by :func:`cache_key` of ``run``: a verified
+    row is served, otherwise ``compute()`` runs and its record is
+    written (last write wins).  A run row is never enqueued, so no
+    worker can mistake it for an experiment cell; a corrupt one is
+    deleted with the store's usual warning and recomputed.  Anywhere
+    else this is ``compute()``."""
+    store = _RUN_STORE
+    if store is None:
+        return compute()
+    key = cache_key(run, store.fingerprint)
+    found, record = store.get_result(key, requeue=False)
+    if not found:
+        record = compute()
+        store.put_done(key, run, record)
+    store.count_run("served" if found else "computed")
+    return record

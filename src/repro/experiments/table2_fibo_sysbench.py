@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..analysis.report import render_table
 from .base import ExperimentResult
-from .fibo_sysbench import TIME_SCALE, run_scenario
+from .fibo_sysbench import TIME_SCALE, scenario_record
 
 CLAIM = ("ULE starves fibo while sysbench runs, which doubles sysbench "
          "throughput and cuts its latency versus CFS's fair sharing")
@@ -27,28 +27,22 @@ CLAIM = ("ULE starves fibo while sysbench runs, which doubles sysbench "
 def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
     """Run this experiment and return its result (see module doc)."""
     result = ExperimentResult("table2", CLAIM)
-    outcomes = {sched: run_scenario(sched, seed=seed)
-                for sched in ("cfs", "ule")}
-    cfs, ule = outcomes["cfs"], outcomes["ule"]
+    cfs, ule = (scenario_record(sched, seed=seed)
+                for sched in ("cfs", "ule"))
 
     rows = [
-        ["Fibo - Runtime (s)", round(cfs.fibo_runtime_s, 2),
-         round(ule.fibo_runtime_s, 2)],
-        ["Fibo - Completion (s)", round(cfs.fibo_completion_s, 2),
-         round(ule.fibo_completion_s, 2)],
-        ["Sysbench - Transactions/s", round(cfs.sysbench_tps, 1),
-         round(ule.sysbench_tps, 1)],
-        ["Sysbench - Avg. latency (ms)",
-         round(cfs.sysbench_latency_ms, 2),
-         round(ule.sysbench_latency_ms, 2)],
-    ]
+        [label, round(cfs[key], ndigits), round(ule[key], ndigits)]
+        for label, key, ndigits in (
+            ("Fibo - Runtime (s)", "fibo_runtime_s", 2),
+            ("Fibo - Completion (s)", "fibo_completion_s", 2),
+            ("Sysbench - Transactions/s", "sysbench_tps", 1),
+            ("Sysbench - Avg. latency (ms)", "sysbench_latency_ms", 2))]
     for label, c, u in rows:
         result.row(metric=label, cfs=c, ule=u)
 
-    result.data["tps_ratio"] = ule.sysbench_tps / cfs.sysbench_tps
-    result.data["latency_ratio"] = (cfs.sysbench_latency_ms
-                                    / ule.sysbench_latency_ms)
-    result.data["outcomes"] = outcomes
+    result.data["tps_ratio"] = ule["sysbench_tps"] / cfs["sysbench_tps"]
+    result.data["latency_ratio"] = (cfs["sysbench_latency_ms"]
+                                    / ule["sysbench_latency_ms"])
 
     table = render_table(
         ["Metric", "CFS", "ULE"], rows,

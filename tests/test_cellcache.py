@@ -157,11 +157,13 @@ def test_cell_map_uses_cache(tmp_path):
     stats = {}
     assert shard_map(compute, cells, store_dir=tmp_path / "store",
                      stats=stats) == [10, 20, 30]
-    assert calls == cells and stats == {"served": 0}
+    assert calls == cells and stats == {
+        "served": 0, "runs_served": 0, "runs_computed": 0}
     # warm rerun: nothing executes, results come from the store
     assert shard_map(compute, cells, store_dir=tmp_path / "store",
                      stats=stats) == [10, 20, 30]
-    assert calls == cells and stats == {"served": 3}
+    assert calls == cells and stats == {
+        "served": 3, "runs_served": 0, "runs_computed": 0}
     # without serving, every cell runs again and its row is rewritten
     assert shard_map(compute, cells, store_dir=tmp_path / "store",
                      serve=False) == [10, 20, 30]

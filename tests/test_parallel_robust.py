@@ -289,7 +289,8 @@ def test_campaign_resume_report_is_byte_identical(tmp_path,
     stats = {}
     run_campaign(names, quick=True, seed=1, store_dir=store_dir,
                  stats=stats)
-    assert len(executed) == 1 and stats == {"served": 2}
+    assert len(executed) == 1 and stats == {
+        "served": 2, "runs_served": 0, "runs_computed": 0}
 
 
 # ----------------------------------------------------- store recovery

@@ -112,7 +112,8 @@ def test_checkpointed_cells_replay_without_execution(tmp_path):
     assert results[:6] == [{"v": "replayed"}] * 6
     assert results[6:] == [_triple(cell) for cell in cells[6:]]
     assert set(_executions(log)) == {6, 7, 8, 9}
-    assert stats == {"served": 6}
+    assert stats == {
+        "served": 6, "runs_served": 0, "runs_computed": 0}
 
 
 def test_cache_hits_skip_execution_and_backfill_checkpoint(tmp_path):
@@ -467,14 +468,16 @@ def test_run_campaign_through_shard_executor(tmp_path, monkeypatch):
         ["alpha", "beta"], quick=True, seed=1, jobs=2,
         store_dir=store_dir, stats=stats)
     assert [r["experiment"] for r in results] == ["alpha", "beta"]
-    assert stats == {"served": 0}
+    assert stats == {
+        "served": 0, "runs_served": 0, "runs_computed": 0}
     report = campaign.render_report(cells, results)
     assert "rows for alpha" in report and "rows for beta" in report
     # a successful campaign keeps its rows: a rerun is served them
     _, again = campaign.run_campaign(
         ["alpha", "beta"], quick=True, seed=1, jobs=2,
         store_dir=store_dir, stats=stats)
-    assert again == results and stats == {"served": 2}
+    assert again == results and stats == {
+        "served": 2, "runs_served": 0, "runs_computed": 0}
 
 
 def _fake_fails_on_first_seed(cell):
